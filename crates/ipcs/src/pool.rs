@@ -1,10 +1,10 @@
 //! A freelist buffer pool for hot-path frame blocks.
 //!
 //! Every frame the Nucleus sends is encoded into one contiguous block
-//! (§5.1), and every TCP substrate write builds a length-prefixed scratch
-//! buffer. Allocating those per message is the single biggest avoidable
-//! cost on the data plane, so the [`World`](crate::World) owns one
-//! [`BufferPool`] shared by every channel: senders lease a `Vec<u8>` with
+//! (§5.1), and every frame a substrate receives lands in one. Allocating
+//! those per message is the single biggest avoidable cost on the data
+//! plane, so the [`World`](crate::World) owns one [`BufferPool`] shared by
+//! every channel: senders and receivers lease a `Vec<u8>` with
 //! [`BufferPool::take`], and the substrate returns sole-owner blocks with
 //! [`BufferPool::give`] once the bytes are on the wire.
 //!

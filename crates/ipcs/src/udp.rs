@@ -505,7 +505,11 @@ impl UdpIpcsListener {
                         machines: (from_machine, self.machine),
                         network: self.network,
                     });
-                    self.accepted.lock().push(Arc::clone(&shared));
+                    {
+                        let mut accepted = self.accepted.lock();
+                        accepted.retain(|l| !l.is_closed());
+                        accepted.push(Arc::clone(&shared));
+                    }
                     return Ok(UdpChannel {
                         socket: conn,
                         shared,

@@ -366,7 +366,7 @@ impl World {
     }
 
     /// The world-wide frame buffer pool. All channels and the Nucleus data
-    /// plane lease encode/scratch buffers from here.
+    /// plane lease encode and receive blocks from here.
     #[must_use]
     pub fn buffer_pool(&self) -> BufferPool {
         self.inner.pool.clone()
@@ -529,7 +529,11 @@ impl World {
                     conditions,
                     self.inner.pool.clone(),
                 )?;
-                state.tcp_links.lock().push(chan.shared_handle());
+                {
+                    let mut links = state.tcp_links.lock();
+                    links.retain(|l| !l.is_closed());
+                    links.push(chan.shared_handle());
+                }
                 Ok(Box::new(chan))
             }
             (NetKind::Shm, PhysAddr::Shm { path, .. }) => {
@@ -574,7 +578,11 @@ impl World {
                     conditions,
                     self.inner.pool.clone(),
                 )?;
-                state.udp_links.lock().push(chan.shared_handle());
+                {
+                    let mut links = state.udp_links.lock();
+                    links.retain(|l| !l.is_closed());
+                    links.push(chan.shared_handle());
+                }
                 Ok(Box::new(chan))
             }
             _ => Err(NtcsError::InvalidArgument(format!(
@@ -1035,6 +1043,52 @@ mod tests {
         drop(server);
         let got = chan.recv(Some(Duration::from_secs(2)));
         assert!(matches!(got, Err(NtcsError::ConnectionClosed)), "{got:?}");
+    }
+
+    #[test]
+    fn closed_tcp_and_udp_links_are_not_retained() {
+        const CYCLES: usize = 200;
+        let open_fds = || std::fs::read_dir("/proc/self/fd").ok().map(Iterator::count);
+        for kind in [NetKind::Tcp, NetKind::Udp] {
+            let (w, a, b, net) = two_machine_world(kind);
+            let (addr, listener) = w.create_listener(b, net, "svc").unwrap();
+            let cycle = || {
+                let (w2, addr2) = (w.clone(), addr.clone());
+                let t = std::thread::spawn(move || w2.connect(a, &addr2).unwrap());
+                let server = listener.accept(Some(Duration::from_secs(2))).unwrap();
+                let client = t.join().unwrap();
+                client.close();
+                server.close();
+            };
+            cycle();
+            let before = open_fds();
+            for _ in 0..CYCLES {
+                cycle();
+            }
+            let after = open_fds();
+            let (ma, mb) = (w.machine(a).unwrap(), w.machine(b).unwrap());
+            let retained = ma.tcp_links.lock().len()
+                + ma.udp_links.lock().len()
+                + mb.tcp_listeners
+                    .lock()
+                    .iter()
+                    .map(|l| l.accepted.lock().len())
+                    .sum::<usize>()
+                + mb.udp_listeners
+                    .lock()
+                    .iter()
+                    .map(|l| l.accepted.lock().len())
+                    .sum::<usize>();
+            assert!(retained <= 2, "{kind}: {retained} handles retained");
+            // Other tests in this process open sockets too, so allow slack,
+            // but far less than the one descriptor per cycle a leak costs.
+            if let (Some(before), Some(after)) = (before, after) {
+                assert!(
+                    after < before + CYCLES / 4,
+                    "{kind}: open fds {before} -> {after} over {CYCLES} cycles"
+                );
+            }
+        }
     }
 
     #[test]

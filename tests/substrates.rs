@@ -119,6 +119,9 @@ fn relocation_hands_off_shm_to_tcp_without_loss() {
             .unwrap();
     }
 
+    // The ack flows when the host's `receive` returns, before its handler
+    // records the message: join the host so the last handler has run.
+    host.stop();
     let got = seen.lock().unwrap().clone();
     assert_eq!(
         got,
