@@ -148,17 +148,15 @@ impl GatewayHandler for Splicer {
         // stamped on the open by the originating LCM.
         if open.header.trace_id != 0 {
             if let Some(monitor) = *self.hop_monitor.read() {
-                let rec = HopRecord {
-                    trace_id: open.header.trace_id,
-                    span: open.header.span,
-                    kind: hop_kind::SPLICE,
-                    module: self.nucleus.my_uadd().raw(),
-                    module_name: self.nucleus.config().module_hint.clone(),
-                    peer: open.header.src.raw(),
-                    msg_id: open.header.msg_id,
-                    timestamp_us: self.nucleus.clock().now_us(),
-                    detail: format!("spliced toward {next_addr} for {}", open.header.dst),
-                };
+                let rec = HopRecord::at_module(
+                    &self.nucleus,
+                    hop_kind::SPLICE,
+                    open.header.trace_id,
+                    open.header.span,
+                    open.header.src,
+                    open.header.msg_id,
+                    format!("spliced toward {next_addr} for {}", open.header.dst),
+                );
                 let _ = self.nucleus.cast_message(monitor, &rec);
             }
         }
@@ -454,6 +452,7 @@ mod tests {
     use ntcs_addr::{AttrQuery, MachineType};
     use ntcs_ipcs::NetKind;
     use ntcs_naming::{NameServer, NameServerConfig};
+    use ntcs_nucleus::{Delivery, SendOpts};
     use ntcs_wire::ntcs_message;
 
     ntcs_message! {
@@ -461,6 +460,13 @@ mod tests {
             pub seq: u32,
             pub body: String,
         }
+    }
+
+    fn send_msg(n: &Nucleus, dst: UAdd, p: &Packet) -> Result<u64> {
+        let opts = SendOpts::new(Delivery::Send {
+            reply_expected: false,
+        });
+        n.send(dst, p, opts).0
     }
 
     const T: Option<Duration> = Some(Duration::from_secs(10));
@@ -527,13 +533,13 @@ mod tests {
 
         let found = nsp_a.locate(&AttrQuery::by_name("beta").unwrap()).unwrap();
         assert_eq!(found, ub);
-        na.send_message(
+        send_msg(
+            &na,
             ub,
             &Packet {
                 seq: 1,
                 body: "across".into(),
             },
-            false,
         )
         .unwrap();
         let m = nb.recv(T).unwrap();
@@ -594,13 +600,13 @@ mod tests {
         let (na, nsp_a, _) = module(&lab, MachineType::Vax, "v1", &[lab.nets[0]]);
         let (nb, _, _) = module(&lab, MachineType::Vax, "v2", &[lab.nets[1]]);
         let ub = nsp_a.locate(&AttrQuery::by_name("v2").unwrap()).unwrap();
-        na.send_message(
+        send_msg(
+            &na,
             ub,
             &Packet {
                 seq: 0x01020304,
                 body: "e2e".into(),
             },
-            false,
         )
         .unwrap();
         let m = nb.recv(T).unwrap();
@@ -649,13 +655,13 @@ mod tests {
             })
         };
         for seq in 0..30 {
-            na.send_message(
+            send_msg(
+                &na,
                 ub,
                 &Packet {
                     seq,
                     body: "windowed".into(),
                 },
-                false,
             )
             .unwrap();
         }
@@ -668,7 +674,7 @@ mod tests {
         let (na, nsp_a, _) = module(&lab, MachineType::Vax, "lonely", &[lab.nets[0]]);
         let (_nb, _, ub) = module(&lab, MachineType::Sun, "island", &[lab.nets[1]]);
         let _ = nsp_a;
-        let err = na.send_message(ub, &Packet::default(), false).unwrap_err();
+        let err = send_msg(&na, ub, &Packet::default()).unwrap_err();
         assert!(matches!(err, NtcsError::NoRoute { .. }), "{err}");
     }
 
@@ -679,13 +685,13 @@ mod tests {
         let (na, nsp_a, _) = module(&lab, MachineType::Vax, "src", &[lab.nets[0]]);
         let (nb, _, _) = module(&lab, MachineType::Sun, "dst", &[lab.nets[1]]);
         let ub = nsp_a.locate(&AttrQuery::by_name("dst").unwrap()).unwrap();
-        na.send_message(
+        send_msg(
+            &na,
             ub,
             &Packet {
                 seq: 1,
                 body: "up".into(),
             },
-            false,
         )
         .unwrap();
         nb.recv(T).unwrap();
@@ -702,16 +708,15 @@ mod tests {
         lab.world.crash(dst_machine);
         std::thread::sleep(Duration::from_millis(700));
         assert!(gw.metrics().teardowns >= 1);
-        let err = na
-            .send_message(
-                ub,
-                &Packet {
-                    seq: 2,
-                    body: "down".into(),
-                },
-                false,
-            )
-            .unwrap_err();
+        let err = send_msg(
+            &na,
+            ub,
+            &Packet {
+                seq: 2,
+                body: "down".into(),
+            },
+        )
+        .unwrap_err();
         assert!(
             err.is_relocation_candidate() || matches!(err, NtcsError::NoForwardingAddress(_)),
             "{err}"
@@ -735,13 +740,13 @@ mod tests {
         let (na, nsp_a, _) = module(&lab, MachineType::Vax, "t-src", &[lab.nets[0]]);
         let (nb, _, _) = module(&lab, MachineType::Sun, "t-dst", &[lab.nets[1]]);
         let ub = nsp_a.locate(&AttrQuery::by_name("t-dst").unwrap()).unwrap();
-        na.send_message(
+        send_msg(
+            &na,
             ub,
             &Packet {
                 seq: 5,
                 body: "tcp hop".into(),
             },
-            false,
         )
         .unwrap();
         let m = nb.recv(T).unwrap();

@@ -59,4 +59,7 @@ pub trait IpcsListener: Send + Sync + std::fmt::Debug {
 
     /// Stops accepting and releases the listening resource. Idempotent.
     fn close(&self);
+
+    /// Whether [`IpcsListener::close`] has run.
+    fn is_closed(&self) -> bool;
 }

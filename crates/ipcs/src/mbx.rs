@@ -374,6 +374,10 @@ impl IpcsListener for MbxListener {
             self.registry.lock().servers.remove(&self.key);
         }
     }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
 }
 
 impl Drop for MbxListener {

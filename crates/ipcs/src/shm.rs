@@ -4,7 +4,7 @@
 //! like this one can exist: when two modules share an address space there
 //! is no reason to pay a kernel boundary per message. This substrate moves
 //! frames through a lock-minimal SPSC ring ([`ShmRing`]); frame blocks are
-//! leased from the shared [`BufferPool`](crate::BufferPool) by the layers
+//! leased from the shared [`BufferPool`] by the layers
 //! above and travel through the ring *by reference* — a zero-copy hand-off
 //! that is the hardware speed ceiling the PR10 bench sweeps against.
 //!
@@ -14,7 +14,7 @@
 //! layer's substrate re-selection when a peer relocates off-machine.
 //!
 //! Faults are injected through the same per-network
-//! [`LinkConditions`](crate::mbx::LinkConditions) as the other substrates,
+//! [`LinkConditions`] as the other substrates,
 //! so `World::set_drop_permille` and friends apply uniformly. A full ring
 //! with a dead reader never hangs the writer: after a bounded wait the
 //! send fails with [`NtcsError::FlowStalled`], which the LCM surfaces or
@@ -382,6 +382,10 @@ impl IpcsListener for ShmListener {
         if !self.closed.swap(true, Ordering::SeqCst) {
             self.registry.lock().servers.remove(&self.key);
         }
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
     }
 }
 

@@ -513,6 +513,10 @@ impl IpcsListener for TcpIpcsListener {
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
     }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
 }
 
 /// Dials a TCP endpoint on logical `network`, performing the NTCS handshake.

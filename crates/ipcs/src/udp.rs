@@ -12,7 +12,7 @@
 //! extension's retransmission).
 //!
 //! Fault injection consumes the same per-network
-//! [`LinkConditions`](crate::mbx::LinkConditions) as MBX/TCP/SHM: armed
+//! [`LinkConditions`] as MBX/TCP/SHM: armed
 //! drops discard whole messages, corruption flips a bit in one in-flight
 //! datagram (the receiver's checksum rejects it), duplication re-sends
 //! the datagrams, reordering swaps adjacent messages.
@@ -555,6 +555,10 @@ impl IpcsListener for UdpIpcsListener {
 
     fn close(&self) {
         self.shut_down();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
     }
 }
 

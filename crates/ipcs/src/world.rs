@@ -383,6 +383,35 @@ impl World {
         }
     }
 
+    /// Drops `state`'s closed listeners and their port entries: a module
+    /// that relocates or shuts down closes its listeners, and the machine
+    /// keeps only live ones once it registers its next. A closed TCP/UDP
+    /// listener stays while a channel it accepted is still open, since
+    /// crash and partition injection reach the channel through it.
+    fn forget_closed_listeners(&self, state: &MachineState) {
+        state.listeners.lock().retain(|l| !l.is_closed());
+        let mut ports = self.inner.tcp_ports.write();
+        state.tcp_listeners.lock().retain(|l| {
+            let keep = !l.is_closed() || l.accepted.lock().iter().any(|c| !c.is_closed());
+            if !keep {
+                // The bound port; only unreadable if the socket is broken.
+                if let Ok(port) = l.port() {
+                    ports.remove(&port);
+                }
+            }
+            keep
+        });
+        drop(ports);
+        let mut ports = self.inner.udp_ports.write();
+        state.udp_listeners.lock().retain(|l| {
+            let keep = !l.is_closed() || l.accepted.lock().iter().any(|c| !c.is_closed());
+            if !keep {
+                ports.remove(&l.port());
+            }
+            keep
+        });
+    }
+
     /// Creates a listening communication resource for `machine` on
     /// `network` — an MBX server mailbox or a bound TCP port (§3.2: "the
     /// module creates any necessary communication resources").
@@ -404,6 +433,7 @@ impl World {
             return Err(NtcsError::ShutDown);
         }
         self.check_attached(&state, network)?;
+        self.forget_closed_listeners(&state);
         let (info, conditions) = self.network_state(network)?;
         match info.kind {
             NetKind::Mbx => {
@@ -1085,6 +1115,35 @@ mod tests {
             if let (Some(before), Some(after)) = (before, after) {
                 assert!(
                     after < before + CYCLES / 4,
+                    "{kind}: open fds {before} -> {after} over {CYCLES} cycles"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closed_listeners_are_not_retained() {
+        const CYCLES: usize = 100;
+        let open_fds = || std::fs::read_dir("/proc/self/fd").ok().map(Iterator::count);
+        for kind in [NetKind::Tcp, NetKind::Udp, NetKind::Mbx, NetKind::Shm] {
+            let (w, _, b, net) = two_machine_world(kind);
+            let cycle = || w.create_listener(b, net, "svc").unwrap().1.close();
+            cycle();
+            let before = open_fds();
+            for _ in 0..CYCLES {
+                cycle();
+            }
+            let after = open_fds();
+            let mb = w.machine(b).unwrap();
+            let retained = mb.listeners.lock().len();
+            let typed = mb.tcp_listeners.lock().len() + mb.udp_listeners.lock().len();
+            assert!(retained <= 2, "{kind}: {retained} listeners retained");
+            assert!(typed <= 2, "{kind}: {typed} TCP/UDP listeners retained");
+            let ports = w.inner.tcp_ports.read().len() + w.inner.udp_ports.read().len();
+            assert!(ports <= 2, "{kind}: {ports} port entries retained");
+            if let (Some(before), Some(after)) = (before, after) {
+                assert!(
+                    after < before + 10,
                     "{kind}: open fds {before} -> {after} over {CYCLES} cycles"
                 );
             }

@@ -413,13 +413,20 @@ mod tests {
     use crate::server::{NameServer, NameServerConfig};
     use ntcs_addr::MachineId;
     use ntcs_ipcs::{NetKind, World};
-    use ntcs_nucleus::NucleusConfig;
+    use ntcs_nucleus::{Delivery, NucleusConfig, SendOpts};
     use ntcs_wire::ntcs_message;
 
     ntcs_message! {
         pub struct AppMsg: 600 {
             pub body: String,
         }
+    }
+
+    fn send_msg(n: &Nucleus, dst: UAdd, m: &AppMsg) -> Result<u64> {
+        let opts = SendOpts::new(Delivery::Send {
+            reply_expected: false,
+        });
+        n.send(dst, m, opts).0
     }
 
     struct Lab {
@@ -496,12 +503,12 @@ mod tests {
         // the NSP layer for the UAdd→phys mapping (§6.1's scenario, minus
         // DRTS).
         let ub = nsp_a.locate(&AttrQuery::by_name("beta").unwrap()).unwrap();
-        na.send_message(
+        send_msg(
+            &na,
             ub,
             &AppMsg {
                 body: "hello".into(),
             },
-            false,
         )
         .unwrap();
         let m = nb.recv(T).unwrap();

@@ -44,7 +44,9 @@ pub mod supervisor;
 pub mod trace;
 
 pub use config::{NameCacheSettings, NucleusConfig, RecorderSettings, SubstrateSettings};
-pub use lcm::{ControlIntercept, GatewayHandler, Nucleus, Outbound, Received};
+pub use lcm::{
+    ControlIntercept, Delivery, GatewayHandler, Nucleus, Received, SendOpts, SendReport,
+};
 pub use metrics::{NucleusMetrics, NucleusMetricsSnapshot};
 pub use nd::{BatchStats, Lvc, NdLayer, SubstrateBinding};
 pub use ntcs_flow::{FlowPolicy, FlowSettings, Lane, CONTROL_TYPE_MAX};

@@ -25,10 +25,12 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
+use ntcs_addr::UAdd;
 use ntcs_ipcs::SimClock;
 use ntcs_wire::ntcs_message;
 
 use crate::supervisor::CircuitHealth;
+use crate::Nucleus;
 
 /// A causal trace identifier: one per *application-level journey* of a
 /// message, preserved across every recovery detour. Zero is the null id
@@ -757,6 +759,34 @@ ntcs_message! {
         /// One JSON document embedding every target's snapshot (targets
         /// that failed to answer appear as `{"module":…,"error":…}`).
         pub json: String,
+    }
+}
+
+impl HopRecord {
+    /// A hop performed by the module bound to `nucleus`, stamped with that
+    /// module's address, name and virtual clock — the one constructor the
+    /// ALI's and the gateway's hop reports share.
+    #[must_use]
+    pub fn at_module(
+        nucleus: &Nucleus,
+        kind: u32,
+        trace_id: u64,
+        span: u32,
+        peer: UAdd,
+        msg_id: u64,
+        detail: String,
+    ) -> Self {
+        HopRecord {
+            trace_id,
+            span,
+            kind,
+            module: nucleus.my_uadd().raw(),
+            module_name: nucleus.config().module_hint.clone(),
+            peer: peer.raw(),
+            msg_id,
+            timestamp_us: nucleus.clock().now_us(),
+            detail,
+        }
     }
 }
 
