@@ -640,8 +640,8 @@ impl ComMod {
                 commod: self,
             });
         };
-        // The new binding keeps the old Nucleus configuration — batching,
-        // flow control, retry policy — so relocation never silently changes
+        // The new binding keeps the old Nucleus configuration — flow
+        // control, retry policy — so relocation never silently changes
         // a module's communication behaviour (a flow-enabled peer would
         // otherwise starve against a relocated module that stopped
         // granting credit).
@@ -798,8 +798,8 @@ impl ComMod {
         self.nucleus.chaos_corrupt_circuit(dst)
     }
 
-    /// The Nucleus configuration this binding runs with — batching, flow
-    /// control, retry policy. Relocation carries it to the new machine.
+    /// The Nucleus configuration this binding runs with — flow control,
+    /// retry policy. Relocation carries it to the new machine.
     #[must_use]
     pub fn nucleus_config(&self) -> &NucleusConfig {
         self.nucleus.config()

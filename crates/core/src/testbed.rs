@@ -260,7 +260,6 @@ impl TestbedBuilder {
             ns_well_known,
             ns_servers,
             registry,
-            batching: RwLock::new(None),
             flow: RwLock::new(None),
             config_hook: ConfigHookCell(RwLock::new(None)),
         })
@@ -331,9 +330,6 @@ pub struct Testbed {
     ns_well_known: Vec<(UAdd, Vec<PhysAddr>)>,
     ns_servers: Vec<UAdd>,
     registry: Arc<MetricsRegistry>,
-    /// ND-Layer batching applied to modules bound after
-    /// [`Testbed::enable_batching`] (`None` = batching off, the default).
-    batching: RwLock<Option<(usize, Duration)>>,
     /// Credit-based flow control applied to modules bound after
     /// [`Testbed::enable_flow_control`] (`None` = off, the default).
     flow: RwLock<Option<FlowSettings>>,
@@ -458,9 +454,6 @@ impl Testbed {
     pub fn commod(&self, machine: MachineId, hint: &str) -> Result<ComMod> {
         let mut config = NucleusConfig::new(machine, hint);
         config.well_known = self.ns_well_known.clone();
-        if let Some((frames, delay)) = *self.batching.read() {
-            config = config.with_batching(frames, delay);
-        }
         if let Some(settings) = *self.flow.read() {
             config = config.with_flow_control(settings);
         }
@@ -470,15 +463,6 @@ impl Testbed {
         let commod = ComMod::bind_sharded(&self.world, config, self.shard_map())?;
         self.registry.register(commod.report_source());
         Ok(commod)
-    }
-
-    /// Turns on ND-Layer frame batching for every module bound *after* this
-    /// call: up to `max_frames` frames per LVC coalesce into one wire
-    /// write, each waiting at most `max_delay` for companions. Modules
-    /// bound earlier are untouched (receive-side unbatching is always on,
-    /// so mixed deployments interoperate).
-    pub fn enable_batching(&self, max_frames: usize, max_delay: Duration) {
-        *self.batching.write() = Some((max_frames, max_delay));
     }
 
     /// Turns on credit-based flow control for every module bound *after*
@@ -495,7 +479,7 @@ impl Testbed {
 
     /// Installs (or clears) the [`ConfigHook`] applied as the *last*
     /// transform to every module bound after this call — after the
-    /// batching and flow-control overrides, so a simulation harness has
+    /// flow-control override, so a simulation harness has
     /// the final word on retry budgets, breaker timers, and windows.
     pub fn set_config_hook(&self, hook: Option<ConfigHook>) {
         *self.config_hook.0.write() = hook;

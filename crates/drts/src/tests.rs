@@ -167,11 +167,17 @@ fn process_controller_relocates_service_over_the_ntcs() {
     assert!(ctl_reply.ok, "{}", ctl_reply.detail);
 
     // The operator keeps using the OLD address; transparency does the rest.
+    // It learns the move either from the Name Server's invalidation push
+    // (which names the replacement, so the send never faults) or from a
+    // §3.5 address fault and forwarding query; both count an invalidation.
     let reply = operator
         .send_receive(worker_addr, &Work { n: 4 }, T)
         .unwrap();
     assert_eq!(reply.decode::<Done>().unwrap().n, 40);
-    assert!(operator.metrics().reconnects >= 1);
+    let worker_uadd_after = operator.locate("worker").unwrap();
+    assert_ne!(worker_uadd_after, worker_uadd_before);
+    assert_eq!(reply.src(), worker_uadd_after, "reply from the new home");
+    assert!(operator.metrics().ns_invalidations >= 1);
 
     // Listing shows the new placement.
     let reply = operator
@@ -180,7 +186,6 @@ fn process_controller_relocates_service_over_the_ntcs() {
     let listing: CtlReply = reply.decode().unwrap();
     assert!(listing.detail.contains("worker"));
     assert!(listing.detail.contains(&lab.machines[2].to_string()));
-    let _ = worker_uadd_before;
     ctl.stop();
 }
 

@@ -14,9 +14,8 @@
 //!   grant for the sender's window.
 //! * [`BoundedDeque`] — a capacity-checked queue that sheds its oldest
 //!   entry on overflow instead of growing without bound. Used for the
-//!   ND `rx_pending` queue and the LCM inbox even when credit flow
-//!   control is disabled, so a runaway sender degrades to message loss
-//!   rather than memory exhaustion.
+//!   LCM inbox even when credit flow control is disabled, so a runaway
+//!   sender degrades to message loss rather than memory exhaustion.
 //! * [`Lane`] — the priority-lane split: NTCS control traffic (naming,
 //!   DRTS, observability, LCM acks) bypasses credit accounting so bulk
 //!   data can never starve the protocols that keep circuits alive.

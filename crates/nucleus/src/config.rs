@@ -70,18 +70,6 @@ pub struct NucleusConfig {
     /// duplicate arriving after its key was evicted is re-delivered, so the
     /// window bounds memory at the cost of exactly-once strength.
     pub dedupe_window: usize,
-    /// Most frames the ND-Layer coalesces into one batched wire write per
-    /// LVC. Batching is active only when this is above 1 **and**
-    /// [`NucleusConfig::max_batch_delay`] is non-zero.
-    pub max_batch_frames: usize,
-    /// Longest a buffered frame may wait for companions before the batch is
-    /// flushed anyway. `Duration::ZERO` (the default) disables batching
-    /// entirely: every frame is its own wire write.
-    pub max_batch_delay: Duration,
-    /// Payloads larger than this bypass batching even when it is active:
-    /// a big frame is flushed synchronously instead of being copied into
-    /// a coalescing buffer (the PR-3 64 KiB regression fix).
-    pub batch_max_payload: usize,
     /// Per-circuit credit flow-control settings (window sizes, replenish
     /// watermark, exhaustion policy). Disabled by default.
     pub flow: FlowSettings,
@@ -170,8 +158,8 @@ pub struct RecorderSettings {
     /// Ring-buffer capacity in events. Older events are overwritten once
     /// the ring wraps; memory use is fixed at bind time.
     pub capacity: usize,
-    /// Hot-path event kinds (sends, deliveries, credit grants, batch
-    /// flushes) keep 1-in-2^shift events; failure kinds are always kept.
+    /// Hot-path event kinds (sends, deliveries, credit grants) keep
+    /// 1-in-2^shift events; failure kinds are always kept.
     /// `0` records everything.
     pub hot_sample_shift: u32,
 }
@@ -238,9 +226,6 @@ impl NucleusConfig {
             breaker: BreakerConfig::default(),
             retransmit_queue_cap: 64,
             dedupe_window: 4096,
-            max_batch_frames: 8,
-            max_batch_delay: Duration::ZERO,
-            batch_max_payload: 4096,
             flow: FlowSettings::disabled(),
             inbox_cap: 8192,
             recorder: RecorderSettings::default(),
@@ -308,36 +293,11 @@ impl NucleusConfig {
         self
     }
 
-    /// Enables ND-Layer frame batching: up to `frames` frames per LVC are
-    /// coalesced into one wire write, each waiting at most `delay` for
-    /// companions (builder style).
-    #[must_use]
-    pub fn with_batching(mut self, frames: usize, delay: Duration) -> Self {
-        self.max_batch_frames = frames.max(1);
-        self.max_batch_delay = delay;
-        self
-    }
-
-    /// Disables ND-Layer frame batching (builder style; the default).
-    #[must_use]
-    pub fn without_batching(mut self) -> Self {
-        self.max_batch_delay = Duration::ZERO;
-        self
-    }
-
     /// Replaces the reliable-delivery dedupe window (builder style;
     /// test/experiment hook).
     #[must_use]
     pub fn with_dedupe_window(mut self, window: usize) -> Self {
         self.dedupe_window = window.max(1);
-        self
-    }
-
-    /// Sets the largest payload eligible for batching (builder style);
-    /// bigger frames are flushed synchronously.
-    #[must_use]
-    pub fn with_batch_max_payload(mut self, bytes: usize) -> Self {
-        self.batch_max_payload = bytes;
         self
     }
 
@@ -407,16 +367,6 @@ impl NucleusConfig {
         self.name_cache.enabled = false;
         self
     }
-
-    /// The ND-Layer batching policy implied by this configuration.
-    #[must_use]
-    pub fn batch_policy(&self) -> crate::nd::BatchPolicy {
-        crate::nd::BatchPolicy {
-            max_frames: self.max_batch_frames,
-            max_delay: self.max_batch_delay,
-            max_payload: self.batch_max_payload,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -450,13 +400,8 @@ mod tests {
         assert!(c.breaker.trip_after >= 1);
         assert!(c.retransmit_queue_cap >= 1);
         assert!(c.dedupe_window >= 64, "dedupe window must be useful");
-        assert!(
-            !c.batch_policy().active(),
-            "batching must be opt-in: a zero delay keeps every frame its own write"
-        );
         assert!(!c.flow.enabled, "flow control must be opt-in");
         assert!(c.inbox_cap >= 64, "inbox must hold a useful backlog");
-        assert_eq!(c.batch_max_payload, 4096);
         assert!(c.recorder.enabled, "flight recorder must be on by default");
         assert!(c.recorder.capacity >= 64, "ring must hold a useful tail");
         assert!(c.name_cache.enabled, "name cache must be on by default");
@@ -491,32 +436,21 @@ mod tests {
     fn flow_builders_compose() {
         let c = NucleusConfig::new(MachineId(0), "m")
             .with_flow_control(FlowSettings::enabled(8192, 32))
-            .with_inbox_cap(16)
-            .with_batch_max_payload(1024);
+            .with_inbox_cap(16);
         assert!(c.flow.enabled);
         assert_eq!(c.flow.window_bytes, 8192);
         assert_eq!(c.inbox_cap, 16);
-        assert_eq!(c.batch_policy().max_payload, 1024);
         assert!(!c.without_flow_control().flow.enabled);
-    }
-
-    #[test]
-    fn batching_builder_activates_policy() {
-        let c = NucleusConfig::new(MachineId(0), "m")
-            .with_batching(16, Duration::from_micros(200))
-            .with_dedupe_window(8);
-        assert!(c.batch_policy().active());
-        assert_eq!(c.batch_policy().max_frames, 16);
-        assert_eq!(c.dedupe_window, 8);
-        assert!(!c.without_batching().batch_policy().active());
     }
 
     #[test]
     fn builders_compose() {
         let c = NucleusConfig::new(MachineId(1), "m")
             .with_well_known(UAdd::NAME_SERVER, vec![])
-            .without_ns_fault_patch();
+            .without_ns_fault_patch()
+            .with_dedupe_window(8);
         assert_eq!(c.well_known.len(), 1);
         assert!(!c.ns_fault_patch);
+        assert_eq!(c.dedupe_window, 8);
     }
 }

@@ -351,12 +351,7 @@ impl Nucleus {
     ///
     /// Fails if the ND-Layer cannot create its listening endpoints.
     pub fn bind(world: &World, config: NucleusConfig) -> Result<Self> {
-        let nd = NdLayer::new_with_policy(
-            world,
-            config.machine,
-            &config.module_hint,
-            config.batch_policy(),
-        )?;
+        let nd = NdLayer::new(world, config.machine, &config.module_hint)?;
         let statics = StaticResolver::new();
         for (uadd, addrs) in &config.well_known {
             // Machine type of a well-known module is unknown until its ack;
@@ -366,7 +361,7 @@ impl Nucleus {
         // The events channel stays unbounded deliberately: frame dispatch
         // can emit re-acks while holding the state lock, so a bounded
         // channel here could deadlock against bounded substrate queues.
-        // Inbound volume is bounded upstream (inbox, rx_pending, MBX).
+        // Inbound volume is bounded upstream (inbox, MBX).
         let (events_tx, events_rx) = unbounded();
         let inbox_cap = config.inbox_cap;
         let salt = (config.machine.0 as u16) ^ 0x1F;
@@ -386,14 +381,6 @@ impl Nucleus {
             },
             config.recorder.hot_sample_shift,
         ));
-        {
-            // Batch flushes happen on ND threads; the observer routes them
-            // into this module's ring.
-            let rec = Arc::clone(&recorder);
-            nd.batch_stats().set_flush_observer(Arc::new(move |frames| {
-                rec.record(event_kind::BATCH_FLUSH, 0, 0, frames);
-            }));
-        }
         let inner = Arc::new(Inner {
             gauge: RecursionGauge::new(config.max_recursion_depth),
             breakers: BreakerRegistry::new(config.breaker.clone(), clock.clone()),
@@ -610,8 +597,6 @@ impl Nucleus {
     #[must_use]
     pub fn module_report(&self) -> ModuleReport {
         let mut counters = self.inner.metrics.snapshot().counters();
-        counters.push(("nd_rx_sheds", self.inner.nd.rx_shed_count()));
-        counters.push(("batch_flushes", self.inner.nd.batch_stats().flushes()));
         counters.push(("recorder_lost", self.inner.recorder.lost()));
         let (forwarding_entries, credits_available, inbox_depth) = {
             let st = self.inner.state.lock();
@@ -634,10 +619,6 @@ impl Nucleus {
                 ("forwarding_entries", forwarding_entries),
                 ("flow_credits_available", credits_available),
                 ("inbox_depth", inbox_depth),
-                (
-                    "batch_pending_frames",
-                    self.inner.nd.batch_stats().pending_frames(),
-                ),
             ],
             histograms: self.inner.hists.snapshots(),
             breakers: self
@@ -1327,8 +1308,7 @@ impl Nucleus {
         spec: FrameSpec<'_>,
         report: &mut SendReport,
     ) -> Result<()> {
-        let datagram = spec.connectionless();
-        let (conn_id, handoff) = self.ensure_conn(target, datagram)?;
+        let (conn_id, handoff) = self.ensure_conn(target, spec.connectionless())?;
         report.handoff |= handoff;
         let (lvc, mode, wire_peer, flow) = {
             let st = self.inner.state.lock();
@@ -1350,24 +1330,19 @@ impl Nucleus {
                 self.acquire_credit(flow, frame.payload.len(), target, &spec, report)?;
             }
         }
-        // Connectionless casts are best-effort by contract (§4.1), so they
-        // may ride the ND-Layer's batching buffer; everything else flushes
-        // synchronously so send errors surface on this call.
-        let sent = if datagram {
-            lvc.send_frame_buffered(&frame)
-        } else {
-            lvc.send_frame(&frame)
-        };
-        sent.inspect_err(|_| self.mark_conn_closed(conn_id))
+        lvc.send_frame(&frame)
+            .inspect_err(|_| self.mark_conn_closed(conn_id))
     }
 
     /// Debits `need` bytes and one frame from the circuit's credit
     /// window, applying the configured [`ntcs_flow::FlowPolicy`] when the
-    /// window is exhausted: `Block` pumps events until the peer's grant
-    /// arrives (or the stall timeout passes), `ShedNewest` fails the send
-    /// immediately and counts a shed, `DeadLetter` hands it straight to
-    /// the dead-letter sink. Reliable sends always surface the error so
-    /// the caller's recovery loop dead-letters them — never a silent loss.
+    /// window is still exhausted after one non-blocking drain of the
+    /// queued events (which may hold the peer's grant): `Block` pumps
+    /// events until the peer's grant arrives (or the stall timeout
+    /// passes), `ShedNewest` fails the send immediately and counts a
+    /// shed, `DeadLetter` hands it straight to the dead-letter sink.
+    /// Reliable sends always surface the error so the caller's recovery
+    /// loop dead-letters them — never a silent loss.
     fn acquire_credit(
         &self,
         flow: &CircuitFlow,
@@ -1376,6 +1351,13 @@ impl Nucleus {
         spec: &FrameSpec<'_>,
         report: &mut SendReport,
     ) -> Result<()> {
+        if flow.window.try_acquire(need) {
+            return Ok(());
+        }
+        // The peer's grant may already be queued: a module that only sends
+        // dispatches Credit frames only when something pumps, so drain the
+        // queue once, without blocking, before calling the window spent.
+        self.pump_once(None)?;
         if flow.window.try_acquire(need) {
             return Ok(());
         }
@@ -1527,8 +1509,7 @@ impl Nucleus {
     /// class: connectionless best-effort traffic may ride (and keep) a UDP
     /// circuit, while anything stronger forces a connection-oriented
     /// substrate. A reliable send arriving on a UDP-bound circuit closes it
-    /// (draining the batcher first — FIFO fencing) and re-opens on a
-    /// substrate that can carry the stronger class.
+    /// and re-opens on a substrate that can carry the stronger class.
     fn ensure_conn(&self, target: UAdd, datagram: bool) -> Result<(u64, bool)> {
         let mut upgrade = None;
         {
@@ -2188,10 +2169,6 @@ impl Nucleus {
                 // Opens are handled by the greeter; seeing one here is a
                 // protocol violation we simply drop.
             }
-            FrameType::Batch => {
-                // The ND-Layer splits batch blocks in `Lvc::recv_frame`; a
-                // container reaching the LCM is a protocol violation we drop.
-            }
         }
     }
 }
@@ -2830,6 +2807,45 @@ mod tests {
         let m = r.b.recv(T).unwrap();
         let got: Greeting = m.payload.decode(r.b.machine_type()).unwrap();
         assert_eq!(got.n, 0);
+    }
+
+    #[test]
+    fn non_blocking_policies_see_grants_already_received() {
+        // A module that only sends never pumps on its own, so the peer's
+        // Credit frames wait in the event queue. Before shedding or
+        // dead-lettering, the send must dispatch them: with a consumer
+        // draining continuously and sends paced 1 ms apart, the window is
+        // never really exhausted.
+        for policy in [
+            ntcs_flow::FlowPolicy::ShedNewest,
+            ntcs_flow::FlowPolicy::DeadLetter,
+        ] {
+            let settings = ntcs_flow::FlowSettings::enabled(64 * 1024, 4).with_policy(policy);
+            let r = flow_rig(settings);
+            let stop = Arc::new(AtomicBool::new(false));
+            let (b, halt) = (r.b.clone(), Arc::clone(&stop));
+            let consumer = std::thread::spawn(move || {
+                while !halt.load(Ordering::Relaxed) {
+                    let _ = b.recv(Some(Duration::from_millis(5)));
+                }
+            });
+            let mut sent = 0;
+            for i in 0..200 {
+                let g = Greeting {
+                    text: "paced".into(),
+                    n: i,
+                };
+                if send_msg(&r.a, r.ub, &g, false).is_ok() {
+                    sent += 1;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            stop.store(true, Ordering::Relaxed);
+            consumer.join().unwrap();
+            // Without the drain only the first window (4 sends) goes out;
+            // with it nearly all do. Half leaves room for a loaded host.
+            assert!(sent >= 100, "{policy:?}: only {sent} of 200 sends went out");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use lcm::{
     ControlIntercept, Delivery, GatewayHandler, Nucleus, Received, SendOpts, SendReport,
 };
 pub use metrics::{NucleusMetrics, NucleusMetricsSnapshot};
-pub use nd::{BatchStats, Lvc, NdLayer, SubstrateBinding};
+pub use nd::{Lvc, NdLayer, SubstrateBinding};
 pub use ntcs_flow::{FlowPolicy, FlowSettings, Lane, CONTROL_TYPE_MAX};
 pub use obs::{
     cluster_snapshot_json, dump_snapshot, event_kind, hop_kind, json_escape,

@@ -13,217 +13,13 @@
 //! [`ntcs_wire::Frame`] (shift-mode header + payload byte stream). Nothing
 //! above it ever sees an [`ntcs_ipcs::IpcsChannel`].
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use ntcs_addr::{MachineId, MachineType, NetworkId, NtcsError, PhysAddr, Result};
-use ntcs_flow::BoundedDeque;
 use ntcs_ipcs::{BufferPool, IpcsChannel, IpcsListener, World};
-use ntcs_wire::{decode_batch_frames, encode_batch_into, Frame, FrameType, HEADER_LEN};
-
-/// Capacity of each LVC's received-batch-member queue. Bounded so a
-/// storm of batch blocks degrades to shedding the oldest undrained
-/// frames (counted on the layer) instead of exhausting memory.
-const RX_PENDING_CAP: usize = 4096;
-
-/// How the ND-Layer coalesces frames queued for one LVC into batched wire
-/// writes. The default policy is inactive: every frame is its own write,
-/// byte-for-byte the pre-batching behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Most frames per batch block.
-    pub max_frames: usize,
-    /// Longest a buffered frame waits for companions before flushing.
-    pub max_delay: Duration,
-    /// Payloads larger than this skip the coalescing buffer entirely and
-    /// go out as their own synchronous write: copying a large payload
-    /// into a batch costs more than the per-write overhead it saves.
-    pub max_payload: usize,
-}
-
-impl BatchPolicy {
-    /// Whether this policy actually batches anything.
-    #[must_use]
-    pub fn active(&self) -> bool {
-        self.max_frames > 1 && self.max_delay > Duration::ZERO
-    }
-
-    /// The policy that never batches.
-    #[must_use]
-    pub fn inactive() -> Self {
-        BatchPolicy {
-            max_frames: 1,
-            max_delay: Duration::ZERO,
-            max_payload: 4096,
-        }
-    }
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::inactive()
-    }
-}
-
-#[derive(Debug, Default)]
-struct BatchState {
-    /// Encoded frames awaiting a flush, in send order.
-    pending: Vec<Bytes>,
-    /// When the oldest pending frame must go out.
-    deadline: Option<Instant>,
-    /// A failed asynchronous flush poisons the circuit: affected frames are
-    /// gone, so every later send must see the failure rather than silently
-    /// proceeding (errors drive the LCM's relocation machinery).
-    error: Option<NtcsError>,
-}
-
-/// Cross-LVC batching statistics, shared between an [`NdLayer`] and every
-/// circuit it opens or wraps: completed flushes, frames they carried, and
-/// the instantaneous batch fill. An optional observer fires on each
-/// completed flush (the LCM routes it into the module's flight recorder).
-#[derive(Default)]
-pub struct BatchStats {
-    flushes: AtomicU64,
-    flushed_frames: AtomicU64,
-    pending: AtomicI64,
-    observer: std::sync::OnceLock<Arc<dyn Fn(u64) + Send + Sync>>,
-}
-
-impl std::fmt::Debug for BatchStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchStats")
-            .field("flushes", &self.flushes())
-            .field("flushed_frames", &self.flushed_frames())
-            .field("pending_frames", &self.pending_frames())
-            .finish()
-    }
-}
-
-impl BatchStats {
-    /// Completed batch flushes (at least one frame on the wire).
-    #[must_use]
-    pub fn flushes(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
-    }
-
-    /// Frames put on the wire by completed flushes.
-    #[must_use]
-    pub fn flushed_frames(&self) -> u64 {
-        self.flushed_frames.load(Ordering::Relaxed)
-    }
-
-    /// Frames currently buffered awaiting a flush, across every circuit
-    /// sharing these stats (the "batch fill" gauge).
-    #[must_use]
-    pub fn pending_frames(&self) -> u64 {
-        u64::try_from(self.pending.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Installs the flush observer, invoked with the frame count of each
-    /// completed flush. First caller wins; later calls are ignored.
-    pub fn set_flush_observer(&self, observer: Arc<dyn Fn(u64) + Send + Sync>) {
-        let _ = self.observer.set(observer);
-    }
-
-    fn note_push(&self) {
-        self.pending.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_flush(&self, frames: u64, ok: bool) {
-        self.pending.fetch_sub(frames as i64, Ordering::Relaxed);
-        if ok && frames > 0 {
-            self.flushes.fetch_add(1, Ordering::Relaxed);
-            self.flushed_frames.fetch_add(frames, Ordering::Relaxed);
-            if let Some(obs) = self.observer.get() {
-                obs(frames);
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Batcher {
-    chan: Arc<dyn IpcsChannel>,
-    pool: BufferPool,
-    machine_type: MachineType,
-    policy: BatchPolicy,
-    state: Mutex<BatchState>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-    stats: Arc<BatchStats>,
-}
-
-impl Batcher {
-    /// Puts everything pending on the wire as one block. Must be called with
-    /// `st` locked — the lock is held through the substrate send so batches
-    /// from concurrent senders cannot interleave out of FIFO order.
-    fn flush_locked(&self, st: &mut BatchState) -> Result<()> {
-        st.deadline = None;
-        if st.pending.is_empty() {
-            return Ok(());
-        }
-        let n = st.pending.len() as u64;
-        let result = if st.pending.len() == 1 {
-            self.chan
-                .send(st.pending.pop().expect("pending is nonempty"))
-        } else {
-            let body: usize = st.pending.iter().map(|b| 4 + b.len()).sum();
-            let mut buf = self.pool.take(HEADER_LEN + body);
-            match encode_batch_into(&st.pending, self.machine_type, &mut buf) {
-                Ok(()) => {
-                    for b in st.pending.drain(..) {
-                        self.pool.reclaim(b);
-                    }
-                    self.chan.send(Bytes::from(buf))
-                }
-                Err(e) => {
-                    st.pending.clear();
-                    self.pool.give(buf);
-                    Err(e)
-                }
-            }
-        };
-        if let Err(e) = &result {
-            st.error = Some(e.clone());
-        }
-        self.stats.note_flush(n, result.is_ok());
-        result
-    }
-}
-
-/// The deadline flusher: wakes when the oldest buffered frame's delay
-/// expires and puts the batch on the wire. Holds only a weak handle so a
-/// dropped LVC lets the thread exit on its next wake-up.
-fn spawn_flusher(batcher: &Arc<Batcher>) {
-    let weak = Arc::downgrade(batcher);
-    std::thread::Builder::new()
-        .name("nd-batch-flush".into())
-        .spawn(move || loop {
-            let Some(b) = weak.upgrade() else { return };
-            if b.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let st = b.state.lock().unwrap();
-            let now = Instant::now();
-            match st.deadline {
-                Some(d) if now >= d => {
-                    let mut st = st;
-                    let _ = b.flush_locked(&mut st);
-                }
-                Some(d) => {
-                    let _ = b.cv.wait_timeout(st, d - now).unwrap();
-                }
-                None => {
-                    // Idle: sleep until a buffered send arms a deadline and
-                    // notifies us (bounded so a lost notify cannot hang us).
-                    let _ = b.cv.wait_timeout(st, Duration::from_millis(50)).unwrap();
-                }
-            }
-        })
-        .expect("spawn nd-batch-flush thread");
-}
+use ntcs_wire::Frame;
 
 /// A local virtual circuit: one framed, duplex channel on a single network.
 #[derive(Debug, Clone)]
@@ -231,94 +27,17 @@ pub struct Lvc {
     chan: Arc<dyn IpcsChannel>,
     network: NetworkId,
     pool: BufferPool,
-    batcher: Option<Arc<Batcher>>,
-    /// Members of an already-received batch block not yet handed upward.
-    /// Shared across clones so readers drain one queue. Bounded: overflow
-    /// sheds the oldest member and counts it on `rx_sheds`.
-    rx_pending: Arc<Mutex<BoundedDeque<Frame>>>,
-    /// Shed counter shared with the owning [`NdLayer`] (a standalone
-    /// [`Lvc::new`] circuit gets a private one).
-    rx_sheds: Arc<AtomicU64>,
 }
 
 impl Lvc {
-    /// Wraps an accepted or dialed IPCS channel with batching disabled.
+    /// Wraps an accepted or dialed IPCS channel.
     #[must_use]
     pub fn new(chan: Arc<dyn IpcsChannel>, network: NetworkId) -> Self {
         Lvc {
             chan,
             network,
             pool: BufferPool::new(),
-            batcher: None,
-            rx_pending: Arc::new(Mutex::new(BoundedDeque::new(RX_PENDING_CAP))),
-            rx_sheds: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    /// Wraps a channel under an explicit [`BatchPolicy`], leasing encode
-    /// buffers from `pool`. `machine_type` fills the batch container header.
-    #[must_use]
-    pub fn with_policy(
-        chan: Arc<dyn IpcsChannel>,
-        network: NetworkId,
-        machine_type: MachineType,
-        pool: BufferPool,
-        policy: BatchPolicy,
-    ) -> Self {
-        Self::with_policy_stats(
-            chan,
-            network,
-            machine_type,
-            pool,
-            policy,
-            Arc::new(BatchStats::default()),
-        )
-    }
-
-    /// As [`Lvc::with_policy`], accounting batch activity on shared
-    /// [`BatchStats`] (an [`NdLayer`] passes its layer-wide stats so every
-    /// circuit feeds one set of flush counters and the fill gauge).
-    #[must_use]
-    pub fn with_policy_stats(
-        chan: Arc<dyn IpcsChannel>,
-        network: NetworkId,
-        machine_type: MachineType,
-        pool: BufferPool,
-        policy: BatchPolicy,
-        stats: Arc<BatchStats>,
-    ) -> Self {
-        let batcher = if policy.active() {
-            let b = Arc::new(Batcher {
-                chan: Arc::clone(&chan),
-                pool: pool.clone(),
-                machine_type,
-                policy,
-                state: Mutex::new(BatchState::default()),
-                cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                stats,
-            });
-            spawn_flusher(&b);
-            Some(b)
-        } else {
-            None
-        };
-        Lvc {
-            chan,
-            network,
-            pool,
-            batcher,
-            rx_pending: Arc::new(Mutex::new(BoundedDeque::new(RX_PENDING_CAP))),
-            rx_sheds: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Shares the owning layer's shed counter with this circuit (builder
-    /// style).
-    #[must_use]
-    pub fn with_shed_counter(mut self, counter: Arc<AtomicU64>) -> Self {
-        self.rx_sheds = counter;
-        self
     }
 
     /// The network this circuit crosses.
@@ -327,130 +46,25 @@ impl Lvc {
         self.network
     }
 
-    /// Sends one frame synchronously. Under an active batch policy any
-    /// buffered frames are drained ahead of this one and the whole block
-    /// goes out as a single wire write — a synchronous send never waits for
-    /// companions, it *is* the flush.
+    /// Sends one frame as one substrate write.
     ///
     /// # Errors
     ///
-    /// Passes substrate failures upward unchanged (§2.2). Once a buffered
-    /// flush has failed, every later send reports that failure.
+    /// Passes substrate failures upward unchanged (§2.2).
     pub fn send_frame(&self, frame: &Frame) -> Result<()> {
         let mut buf = self.pool.take(frame.encoded_len());
         frame.encode_into(&mut buf);
-        let block = Bytes::from(buf);
-        match &self.batcher {
-            Some(b) => {
-                let mut st = b.state.lock().unwrap();
-                if let Some(e) = st.error.clone() {
-                    return Err(e);
-                }
-                st.pending.push(block);
-                b.stats.note_push();
-                b.flush_locked(&mut st)
-            }
-            None => self.chan.send(block),
-        }
+        self.chan.send(Bytes::from(buf))
     }
 
-    /// Queues one frame for a batched send: it goes out with the next flush
-    /// — when [`BatchPolicy::max_frames`] are pending, when its
-    /// [`BatchPolicy::max_delay`] expires, or when a synchronous send drains
-    /// the queue. With batching inactive this is exactly [`Lvc::send_frame`].
-    ///
-    /// Intended for best-effort traffic (datagram casts): delivery of a
-    /// buffered frame cannot be confirmed by this call's `Ok`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Lvc::send_frame`]; a previously failed flush is reported
-    /// here (sticky).
-    pub fn send_frame_buffered(&self, frame: &Frame) -> Result<()> {
-        let Some(b) = &self.batcher else {
-            return self.send_frame(frame);
-        };
-        if frame.payload.len() > b.policy.max_payload {
-            // Large payloads bypass the coalescing buffer: flush whatever
-            // is pending, then put this frame on the wire as its own
-            // write (under the same lock, so FIFO order holds).
-            let mut buf = self.pool.take(frame.encoded_len());
-            frame.encode_into(&mut buf);
-            let block = Bytes::from(buf);
-            let mut st = b.state.lock().unwrap();
-            if let Some(e) = st.error.clone() {
-                return Err(e);
-            }
-            b.flush_locked(&mut st)?;
-            let result = self.chan.send(block);
-            if let Err(e) = &result {
-                st.error = Some(e.clone());
-            }
-            return result;
-        }
-        let mut buf = self.pool.take(frame.encoded_len());
-        frame.encode_into(&mut buf);
-        let mut st = b.state.lock().unwrap();
-        if let Some(e) = st.error.clone() {
-            return Err(e);
-        }
-        st.pending.push(Bytes::from(buf));
-        b.stats.note_push();
-        if st.pending.len() >= b.policy.max_frames {
-            b.flush_locked(&mut st)
-        } else {
-            if st.deadline.is_none() {
-                st.deadline = Some(Instant::now() + b.policy.max_delay);
-            }
-            b.cv.notify_one();
-            Ok(())
-        }
-    }
-
-    /// Flushes any buffered frames immediately (no-op when batching is
-    /// inactive or nothing is pending).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Lvc::send_frame`].
-    pub fn flush(&self) -> Result<()> {
-        match &self.batcher {
-            Some(b) => {
-                let mut st = b.state.lock().unwrap();
-                b.flush_locked(&mut st)
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Receives and decodes one frame. Batch blocks are split transparently:
-    /// the first member is returned and the rest are queued for subsequent
-    /// calls, so callers never observe the container.
+    /// Receives and decodes one frame.
     ///
     /// # Errors
     ///
     /// [`NtcsError::Timeout`] on timeout, [`NtcsError::ConnectionClosed`]
     /// once the circuit dies, [`NtcsError::Protocol`] on a garbled frame.
     pub fn recv_frame(&self, timeout: Option<Duration>) -> Result<Frame> {
-        if let Some(f) = self.rx_pending.lock().unwrap().pop_front() {
-            return Ok(f);
-        }
-        let block = self.chan.recv(timeout)?;
-        let frame = Frame::decode_shared(&block)?;
-        if frame.header.frame_type != FrameType::Batch {
-            return Ok(frame);
-        }
-        let mut members = decode_batch_frames(&frame)?.into_iter();
-        let first = members
-            .next()
-            .ok_or_else(|| NtcsError::Protocol("batch frame with no members".into()))?;
-        let mut pending = self.rx_pending.lock().unwrap();
-        for m in members {
-            if pending.push_back(m).is_some() {
-                self.rx_sheds.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(first)
+        Frame::decode_shared(&self.chan.recv(timeout)?)
     }
 
     /// Sends a pre-encoded block unchanged (gateway relay fast path — the
@@ -472,16 +86,8 @@ impl Lvc {
         self.chan.recv(timeout)
     }
 
-    /// Closes the circuit (idempotent). Buffered frames are flushed
-    /// best-effort first.
+    /// Closes the circuit (idempotent).
     pub fn close(&self) {
-        if let Some(b) = &self.batcher {
-            b.shutdown.store(true, Ordering::SeqCst);
-            if let Ok(mut st) = b.state.lock() {
-                let _ = b.flush_locked(&mut st);
-            }
-            b.cv.notify_all();
-        }
         self.chan.close();
     }
 
@@ -574,35 +180,16 @@ pub struct NdLayer {
     machine_type: MachineType,
     endpoints: Vec<NdEndpoint>,
     pool: BufferPool,
-    policy: BatchPolicy,
-    rx_sheds: Arc<AtomicU64>,
-    batch_stats: Arc<BatchStats>,
 }
 
 impl NdLayer {
     /// Creates the ND-Layer for a module on `machine`, opening one listening
-    /// communication resource per attached network (§3.2). Batching is
-    /// disabled; see [`NdLayer::new_with_policy`].
+    /// communication resource per attached network (§3.2).
     ///
     /// # Errors
     ///
     /// Fails if the machine is unknown/dead or a listener cannot be created.
     pub fn new(world: &World, machine: MachineId, hint: &str) -> Result<Self> {
-        Self::new_with_policy(world, machine, hint, BatchPolicy::inactive())
-    }
-
-    /// As [`NdLayer::new`], with an explicit [`BatchPolicy`] applied to
-    /// every LVC this layer opens or wraps.
-    ///
-    /// # Errors
-    ///
-    /// As for [`NdLayer::new`].
-    pub fn new_with_policy(
-        world: &World,
-        machine: MachineId,
-        hint: &str,
-        policy: BatchPolicy,
-    ) -> Result<Self> {
         let info = world.machine_info(machine)?;
         let mut endpoints = Vec::with_capacity(info.networks.len());
         for &net in &info.networks {
@@ -619,29 +206,7 @@ impl NdLayer {
             machine_type: info.machine_type,
             endpoints,
             pool: world.buffer_pool(),
-            policy,
-            rx_sheds: Arc::new(AtomicU64::new(0)),
-            batch_stats: Arc::new(BatchStats::default()),
         })
-    }
-
-    /// Frames shed from bounded receive queues across this layer's LVCs.
-    #[must_use]
-    pub fn rx_shed_count(&self) -> u64 {
-        self.rx_sheds.load(Ordering::Relaxed)
-    }
-
-    /// Layer-wide batching statistics (flush counters and fill gauge),
-    /// shared with every LVC this layer opens or wraps.
-    #[must_use]
-    pub fn batch_stats(&self) -> &Arc<BatchStats> {
-        &self.batch_stats
-    }
-
-    /// The batch policy applied to this layer's LVCs.
-    #[must_use]
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.policy
     }
 
     /// The frame buffer pool this layer's LVCs lease from.
@@ -650,19 +215,15 @@ impl NdLayer {
         self.pool.clone()
     }
 
-    /// Wraps an accepted substrate channel as an LVC under this layer's
-    /// policy and pool (the acceptor-side sibling of [`NdLayer::open`]).
+    /// Wraps an accepted substrate channel as an LVC leasing from this
+    /// layer's pool (the acceptor-side sibling of [`NdLayer::open`]).
     #[must_use]
     pub fn wrap(&self, chan: Arc<dyn IpcsChannel>, network: NetworkId) -> Lvc {
-        Lvc::with_policy_stats(
+        Lvc {
             chan,
             network,
-            self.machine_type,
-            self.pool.clone(),
-            self.policy,
-            Arc::clone(&self.batch_stats),
-        )
-        .with_shed_counter(Arc::clone(&self.rx_sheds))
+            pool: self.pool.clone(),
+        }
     }
 
     /// The machine this layer is bound to.
@@ -876,130 +437,6 @@ mod tests {
         let server = Lvc::new(Arc::from(accepted), lvc.network());
         let got = server.recv_frame(Some(Duration::from_secs(2)));
         assert!(matches!(got, Err(NtcsError::Protocol(_))));
-    }
-
-    #[test]
-    fn buffered_sends_coalesce_and_unbatch_in_order() {
-        let (w, a, b, _n) = world_two();
-        let policy = BatchPolicy {
-            max_frames: 4,
-            max_delay: Duration::from_millis(200),
-            max_payload: 4096,
-        };
-        let nd_a = NdLayer::new_with_policy(&w, a, "a", policy).unwrap();
-        let nd_b = NdLayer::new_with_policy(&w, b, "b", policy).unwrap();
-        assert!(nd_a.batch_policy().active());
-
-        let lvc = nd_a.open(&nd_b.phys_addrs()[0], 0).unwrap();
-        let accepted = nd_b.endpoints()[0]
-            .listener
-            .accept(Some(Duration::from_secs(2)))
-            .unwrap();
-        let server = nd_b.wrap(Arc::from(accepted), lvc.network());
-
-        let mk = |n: u64| {
-            let mut h = FrameHeader::new(
-                FrameType::Datagram,
-                UAdd::from_raw(1),
-                UAdd::from_raw(2),
-                MachineType::Vax,
-            );
-            h.msg_id = n;
-            Frame::new(h, bytes::Bytes::from(vec![n as u8; 32]))
-        };
-        // Four buffered frames = one full batch, flushed without waiting
-        // for the delay; a fifth rides out on the deadline flusher.
-        for n in 0..5 {
-            lvc.send_frame_buffered(&mk(n)).unwrap();
-        }
-        for n in 0..5 {
-            let got = server.recv_frame(Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(got, mk(n), "frame {n} out of order or damaged");
-        }
-    }
-
-    #[test]
-    fn sync_send_drains_buffered_frames_first() {
-        let (w, a, b, _n) = world_two();
-        let policy = BatchPolicy {
-            max_frames: 64,
-            max_delay: Duration::from_secs(30), // deadline will not fire
-            max_payload: 4096,
-        };
-        let nd_a = NdLayer::new_with_policy(&w, a, "a", policy).unwrap();
-        let nd_b = NdLayer::new(&w, b, "b").unwrap();
-        let lvc = nd_a.open(&nd_b.phys_addrs()[0], 0).unwrap();
-        let accepted = nd_b.endpoints()[0]
-            .listener
-            .accept(Some(Duration::from_secs(2)))
-            .unwrap();
-        // Plain (unbatched) receiver still understands batch blocks.
-        let server = Lvc::new(Arc::from(accepted), lvc.network());
-
-        lvc.send_frame_buffered(&frame()).unwrap();
-        lvc.send_frame_buffered(&frame()).unwrap();
-        lvc.send_frame(&frame()).unwrap(); // sync: flushes all three
-        for _ in 0..3 {
-            let got = server.recv_frame(Some(Duration::from_secs(2))).unwrap();
-            assert_eq!(got, frame());
-        }
-    }
-
-    #[test]
-    fn oversized_payload_bypasses_batching() {
-        let (w, a, b, _n) = world_two();
-        let policy = BatchPolicy {
-            max_frames: 64,
-            max_delay: Duration::from_secs(30), // deadline will not fire
-            max_payload: 64,
-        };
-        let nd_a = NdLayer::new_with_policy(&w, a, "a", policy).unwrap();
-        let nd_b = NdLayer::new(&w, b, "b").unwrap();
-        let lvc = nd_a.open(&nd_b.phys_addrs()[0], 0).unwrap();
-        let accepted = nd_b.endpoints()[0]
-            .listener
-            .accept(Some(Duration::from_secs(2)))
-            .unwrap();
-
-        // Two small frames queue; the oversized one must flush them (as
-        // one batch container) and then go out as its own plain write.
-        lvc.send_frame_buffered(&frame()).unwrap();
-        lvc.send_frame_buffered(&frame()).unwrap();
-        let big = Frame::new(
-            FrameHeader::new(
-                FrameType::Datagram,
-                UAdd::from_raw(1),
-                UAdd::from_raw(2),
-                MachineType::Vax,
-            ),
-            bytes::Bytes::from(vec![7u8; 1024]),
-        );
-        lvc.send_frame_buffered(&big).unwrap();
-        let first = accepted.recv(Some(Duration::from_secs(2))).unwrap();
-        let got = Frame::decode(&first).unwrap();
-        assert_eq!(got.header.frame_type, FrameType::Batch);
-        let second = accepted.recv(Some(Duration::from_secs(2))).unwrap();
-        let got = Frame::decode(&second).unwrap();
-        assert_eq!(got, big, "oversized frame sent as its own plain write");
-    }
-
-    #[test]
-    fn inactive_policy_sends_plain_frames() {
-        let (w, a, b, _n) = world_two();
-        let nd_a = NdLayer::new(&w, a, "a").unwrap();
-        let nd_b = NdLayer::new(&w, b, "b").unwrap();
-        assert!(!nd_a.batch_policy().active());
-        let lvc = nd_a.open(&nd_b.phys_addrs()[0], 0).unwrap();
-        let accepted = nd_b.endpoints()[0]
-            .listener
-            .accept(Some(Duration::from_secs(2)))
-            .unwrap();
-        lvc.send_frame_buffered(&frame()).unwrap();
-        // The raw block on the wire is the frame itself, not a container.
-        let block = accepted.recv(Some(Duration::from_secs(2))).unwrap();
-        let got = Frame::decode(&block).unwrap();
-        assert_eq!(got.header.frame_type, FrameType::Data);
-        assert_eq!(got, frame());
     }
 
     #[test]

@@ -330,8 +330,8 @@ pub mod event_kind {
     pub const CREDIT_GRANT: u32 = 6;
     /// The module relocated to another machine (aux = new machine id).
     pub const RELOCATION: u32 = 7;
-    /// The ND layer flushed a coalesced batch (aux = frames in the batch).
-    pub const BATCH_FLUSH: u32 = 8;
+    // Code 8 is retired (it named a frame-batch flush); it stays unused
+    // so that no later kind is renumbered.
     /// Recovery exhausted; a message went to the dead-letter sink.
     pub const DEAD_LETTER: u32 = 9;
     /// A bounded queue shed a frame (aux = inbox depth at the shed).
@@ -360,7 +360,7 @@ pub mod event_kind {
     /// 1-in-2^shift sampling. Failure-path kinds always record.
     #[must_use]
     pub fn is_hot(kind: u32) -> bool {
-        matches!(kind, SEND | DELIVER | CREDIT_GRANT | BATCH_FLUSH)
+        matches!(kind, SEND | DELIVER | CREDIT_GRANT)
     }
 
     /// Human name of an event kind code.
@@ -374,7 +374,6 @@ pub mod event_kind {
             CREDIT_STALL => "credit-stall",
             CREDIT_GRANT => "credit-grant",
             RELOCATION => "relocation",
-            BATCH_FLUSH => "batch-flush",
             DEAD_LETTER => "dead-letter",
             SHED => "shed",
             CIRCUIT_OPEN => "circuit-open",
@@ -1030,10 +1029,8 @@ pub fn help_for(name: &str) -> &'static str {
         "address_faults" => "Address faults detected (peer relocated).",
         "reconnects" => "Transparent circuit re-establishments.",
         "inbox_sheds" => "Messages shed from the bounded inbox.",
-        "nd_rx_sheds" => "Frames shed from bounded ND receive queues.",
         "flow_stalls" => "Sends that stalled on an exhausted credit window.",
         "flow_sheds" => "Frames shed or dead-lettered by flow-control policy.",
-        "batch_flushes" => "ND-layer batch flushes put on the wire.",
         "recorder_lost" => "Flight-recorder events lost to writer lapping.",
         "gw_circuits_spliced" => "Circuits spliced through this gateway.",
         "gw_frames_relayed" => "Frames relayed through gateway splices.",
@@ -1044,7 +1041,6 @@ pub fn help_for(name: &str) -> &'static str {
         "forwarding_entries" => "Forwarding entries left behind by relocations.",
         "flow_credits_available" => "Credit bytes available across open circuits.",
         "inbox_depth" => "Messages queued in the application inbox.",
-        "batch_pending_frames" => "Frames buffered awaiting a batch flush.",
         "pool_free_buffers" => "Free buffers in the shared BufferPool.",
         "pool_hits" => "BufferPool leases served from the freelist.",
         "pool_misses" => "BufferPool leases that had to allocate.",

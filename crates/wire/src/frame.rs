@@ -45,8 +45,7 @@ impl Frame {
         Bytes::from(out)
     }
 
-    /// Appends the frame's wire encoding to `out` (e.g. a pooled buffer or
-    /// a batch block under assembly).
+    /// Appends the frame's wire encoding to `out` (e.g. a pooled buffer).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.encoded_len());
         let mut w = ShiftWriter::wrap(std::mem::take(out));

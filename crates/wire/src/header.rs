@@ -59,11 +59,6 @@ pub enum FrameType {
     /// IP/gateway: abort an IVC after a downstream failure (§4.3 teardown
     /// cascade).
     IvcAbort,
-    /// ND: a coalesced block of whole frames flushed as one wire write.
-    /// The payload is a sequence of length-prefixed encoded frames
-    /// (`aux` carries the count); gateways relay it opaquely like any
-    /// other non-open frame.
-    Batch,
     /// Flow control: a receiver's delta grant of inbox capacity back to
     /// the sender. Header-only: `msg_id` carries the granted bytes and
     /// `aux` the granted frames. Gateways relay it opaquely, so a grant
@@ -86,7 +81,6 @@ impl FrameType {
             FrameType::Ping => 8,
             FrameType::Pong => 9,
             FrameType::IvcAbort => 10,
-            FrameType::Batch => 11,
             FrameType::Credit => 12,
         }
     }
@@ -108,7 +102,6 @@ impl FrameType {
             8 => FrameType::Ping,
             9 => FrameType::Pong,
             10 => FrameType::IvcAbort,
-            11 => FrameType::Batch,
             12 => FrameType::Credit,
             other => {
                 return Err(NtcsError::Protocol(format!(
@@ -506,12 +499,13 @@ mod tests {
             FrameType::Ping,
             FrameType::Pong,
             FrameType::IvcAbort,
-            FrameType::Batch,
             FrameType::Credit,
         ] {
             assert_eq!(FrameType::from_wire_code(ft.wire_code()).unwrap(), ft);
         }
         assert!(FrameType::from_wire_code(0).is_err());
+        // Code 11 belonged to a retired frame type; it is unknown now.
+        assert!(FrameType::from_wire_code(11).is_err());
         assert!(FrameType::from_wire_code(999).is_err());
     }
 

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod frame;
 pub mod header;
 pub mod image;
@@ -35,7 +34,6 @@ pub mod mode;
 pub mod pack;
 pub mod shift;
 
-pub use batch::{decode_batch, decode_batch_frames, encode_batch_into};
 pub use bytes;
 pub use frame::Frame;
 pub use header::{FrameHeader, FrameType, HeaderFlags, HEADER_LEN};

@@ -32,11 +32,6 @@ use crate::scenarios::{line_internet, single_net};
 /// `ntcs_sim::sweep::seed_list`).
 pub const SEEDS: [u64; 3] = ntcs_sim::CLASSIC_SEEDS;
 
-/// Every chaos scenario runs with ND-Layer frame batching enabled: the
-/// exactly-once/dead-letter contract must hold whether frames travel alone
-/// or coalesced, and a dropped batch block now loses several frames at once.
-pub const BATCH_DELAY: Duration = Duration::from_micros(500);
-
 /// Chaos scenarios are wall-clock sensitive (retry deadlines, breaker
 /// half-open timers); running several at once starves their threads and
 /// turns timing assertions into noise. Every scenario takes this lock, so
@@ -200,7 +195,6 @@ pub fn partition_heal_chaos(seed: u64) {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let lab = single_net(3, NetKind::Mbx).unwrap();
-    lab.testbed.enable_batching(8, BATCH_DELAY);
     let receiver = lab.testbed.module(lab.machines[2], "chaos-sink").unwrap();
     let sender = lab.testbed.module(lab.machines[1], "chaos-src").unwrap();
     let dst = sender.locate("chaos-sink").unwrap();
@@ -349,8 +343,6 @@ pub fn ns_replica_kill(seed: u64) {
     tb.name_server_on(m[0]);
     tb.replica_on(m[1]);
     let testbed = tb.start().unwrap();
-    testbed.enable_batching(8, BATCH_DELAY);
-
     // Register while both servers live (the primary replicates to m[1]).
     let svc = testbed.module(m[2], "chaos-svc").unwrap();
     let client = testbed.module(m[3], "chaos-client").unwrap();
@@ -452,7 +444,6 @@ pub fn gateway_drop_chaos(seed: u64) {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let lab = line_internet(3, NetKind::Mbx).unwrap();
-    lab.testbed.enable_batching(8, BATCH_DELAY);
     let server = lab
         .testbed
         .module(lab.edge_machines[2], "far-sink")
@@ -543,9 +534,9 @@ pub const FLOW_WINDOW_BYTES: u64 = 8192;
 /// Frame half of the credit window.
 pub const FLOW_WINDOW_FRAMES: u32 = 32;
 
-/// Headroom over the window allowed in any one transit queue: frame and
-/// batch-container headers, plus the control-lane traffic (acks, credit
-/// grants, naming) that rides outside the credit window by design.
+/// Headroom over the window allowed in any one transit queue: frame
+/// headers, plus the control-lane traffic (acks, credit grants, naming)
+/// that rides outside the credit window by design.
 pub const FLOW_PEAK_SLACK: u64 = 4096;
 
 /// Slow consumer behind a two-gateway chain: credit-based flow control
@@ -560,7 +551,6 @@ pub fn slow_consumer_backpressure(seed: u64) {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut rng = SimRng::new(seed);
     let lab = line_internet(3, NetKind::Mbx).unwrap();
-    lab.testbed.enable_batching(8, BATCH_DELAY);
     lab.testbed
         .enable_flow_control(FlowSettings::enabled(FLOW_WINDOW_BYTES, FLOW_WINDOW_FRAMES));
     // The monitor shares the sender's machine so STALL hop casts stay local.

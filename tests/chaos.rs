@@ -10,7 +10,7 @@ use ntcs::{hop_kind, NetKind};
 use ntcs_drts::MonitorService;
 use ntcs_repro::chaos::{
     assert_valid_prometheus, gateway_drop_chaos, ns_replica_kill, partition_heal_chaos,
-    slow_consumer_backpressure, BATCH_DELAY, SEEDS, SERIAL,
+    slow_consumer_backpressure, SEEDS, SERIAL,
 };
 use ntcs_repro::messages::Ask;
 use ntcs_repro::scenarios::line_internet;
@@ -89,7 +89,6 @@ fn traced_journey_reconstructed_from_monitor_records() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let lab = line_internet(2, NetKind::Mbx).unwrap();
-    lab.testbed.enable_batching(8, BATCH_DELAY);
     // The monitor lives on net1's edge machine; the client's hop reports
     // cross the gateway, the relocated server's stay machine-local.
     let monitor = MonitorService::spawn(&lab.testbed, lab.edge_machines[1]).unwrap();
@@ -158,9 +157,9 @@ fn traced_journey_reconstructed_from_monitor_records() {
     );
 
     // The monitor reassembles the journey from cast records alone. Hop
-    // casts are asynchronous — and with batching enabled the cross-gateway
-    // casts may trail the machine-local DELIVER by a flush interval — so
-    // poll until the whole five-hop journey has landed, not just its tail.
+    // casts are asynchronous — the cross-gateway casts may trail the
+    // machine-local DELIVER — so poll until the whole five-hop journey has
+    // landed, not just its tail.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let chain = loop {
         let chain = monitor.trace_chain(trace.raw());

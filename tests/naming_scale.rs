@@ -169,15 +169,48 @@ fn sharded_lookups_survive_relocation_churn_with_cache_metrics() {
         assert!(rendered.contains(&key), "registry missing {key}");
     }
 
+    // Leased lookups: repeated resolutions of a warm destination are served
+    // by its lease (or revalidate an expired one) and never go cold; with
+    // both cache layers dropped, every resolution is a shard round trip.
+    const LEASED: u64 = 500;
+    const COLD: u64 = 20;
+    // A service the churn below leaves in place.
+    let dst = handles[N - 1].my_uadd();
+    let nucleus = client.nucleus();
+    let before = client.metrics();
+    for _ in 0..LEASED {
+        nucleus.resolve(dst).unwrap();
+    }
+    let leased = client.metrics();
+    assert!(
+        (leased.ns_cache_hits + leased.ns_cache_stale)
+            - (before.ns_cache_hits + before.ns_cache_stale)
+            >= LEASED,
+        "leased loop not served by the lease: {before:?} -> {leased:?}"
+    );
+    for _ in 0..COLD {
+        nucleus.statics().invalidate(dst);
+        client.nsp().cache().invalidate(dst);
+        nucleus.resolve(dst).unwrap();
+    }
+    let cold = client.metrics();
+    assert!(
+        cold.ns_cache_misses - leased.ns_cache_misses >= COLD,
+        "cold loop served from a cache: {leased:?} -> {cold:?}"
+    );
+
     // Relocation churn: move half the services to the next machine. The
     // shard primary must push lease invalidations to the client, and
     // post-churn lookups must land on the live incarnation.
+    let invalidations_before = client.metrics().ns_invalidations;
     let mut churned = Vec::new();
+    let mut stale = Vec::new();
     for (i, h) in handles.into_iter().enumerate() {
         if i < N / 2 {
             let old = h.my_uadd();
             let moved = h.relocate_to(lab.machines[(i + 1) % 4]).unwrap();
             assert_ne!(moved.my_uadd(), old);
+            stale.push(old);
             churned.push(moved);
         } else {
             churned.push(h);
@@ -219,4 +252,32 @@ fn sharded_lookups_survive_relocation_churn_with_cache_metrics() {
             .unwrap();
         assert_eq!(h.receive(T).unwrap().decode::<Ask>().unwrap().n, 99);
     }
+    // The stale addresses reach the moved services too, and every such
+    // recovery invalidated a lease: by the shard's push or by the §3.5
+    // forwarding query after an address fault. A send that raced the
+    // move may be lost, so resend until the new incarnation confirms.
+    for (i, (&old, h)) in stale.iter().zip(&churned).enumerate() {
+        let msg = Ask {
+            n: 100 + i as u32,
+            body: String::new(),
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "svc-{i} never reached through its stale address"
+            );
+            let _ = client.send(old, &msg);
+            let got = h.receive(Some(Duration::from_millis(50)));
+            if matches!(got, Ok(m) if m.decode::<Ask>().is_ok_and(|a| a.n == msg.n)) {
+                break;
+            }
+        }
+    }
+    let invalidations = client.metrics().ns_invalidations - invalidations_before;
+    assert!(
+        invalidations >= stale.len() as u64,
+        "{} stale-address recoveries but {invalidations} lease invalidations",
+        stale.len()
+    );
 }

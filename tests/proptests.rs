@@ -12,9 +12,8 @@ use ntcs_nucleus::ResolvedModule;
 use ntcs_wire::bytes::Bytes;
 use ntcs_wire::pack::{pack_to_vec, unpack_from_slice, Blob};
 use ntcs_wire::{
-    decode_batch, decode_batch_frames, encode_batch_into, encode_payload, image, ConvMode, Frame,
-    FrameHeader, FrameType, InboundPayload, Message, PackReader, PackWriter, ShiftReader,
-    ShiftWriter,
+    encode_payload, image, ConvMode, Frame, FrameHeader, FrameType, InboundPayload, Message,
+    PackReader, PackWriter, ShiftReader, ShiftWriter,
 };
 
 fn machine_type() -> impl Strategy<Value = MachineType> {
@@ -46,9 +45,8 @@ fn token() -> impl Strategy<Value = String> {
     "[a-z0-9_.:-]{1,12}"
 }
 
-/// A complete random frame of any non-container type — the kind of frame
-/// that may travel inside a batch block.
-fn member_frame() -> impl Strategy<Value = Frame> {
+/// A complete random frame of any type.
+fn random_frame() -> impl Strategy<Value = Frame> {
     (
         frame_type(),
         any::<u64>(),
@@ -543,75 +541,10 @@ proptest! {
     }
 
     #[test]
-    fn batch_codec_round_trips(
-        frames in proptest::collection::vec(member_frame(), 1..10),
-        mt in machine_type(),
-    ) {
-        let blocks: Vec<Bytes> = frames.iter().map(Frame::encode).collect();
-        let mut buf = Vec::new();
-        encode_batch_into(&blocks, mt, &mut buf).unwrap();
-        let container = Frame::decode(&buf).unwrap();
-        prop_assert_eq!(container.header.frame_type, FrameType::Batch);
-        prop_assert_eq!(container.header.aux as usize, frames.len());
-        // Raw member blocks survive byte-for-byte...
-        let members = decode_batch(&container).unwrap();
-        prop_assert_eq!(members.len(), blocks.len());
-        for (m, b) in members.iter().zip(&blocks) {
-            prop_assert_eq!(&m[..], &b[..]);
-        }
-        // ...and decode back to the original frames, in order.
-        prop_assert_eq!(decode_batch_frames(&container).unwrap(), frames);
-    }
-
-    #[test]
-    fn truncated_frames_always_err(f in member_frame(), cut in any::<usize>()) {
+    fn truncated_frames_always_err(f in random_frame(), cut in any::<usize>()) {
         let bytes = f.encode();
         let cut = cut % bytes.len();
         prop_assert!(Frame::decode(&bytes[..cut]).is_err());
-    }
-
-    #[test]
-    fn truncated_batches_always_err(
-        frames in proptest::collection::vec(member_frame(), 1..6),
-        cut in any::<usize>(),
-    ) {
-        let blocks: Vec<Bytes> = frames.iter().map(Frame::encode).collect();
-        let mut buf = Vec::new();
-        encode_batch_into(&blocks, MachineType::Sun, &mut buf).unwrap();
-        let cut = cut % buf.len();
-        prop_assert!(Frame::decode(&buf[..cut]).is_err());
-    }
-
-    #[test]
-    fn corrupted_batch_blocks_never_panic(
-        frames in proptest::collection::vec(member_frame(), 1..6),
-        idx in any::<usize>(),
-        bit in 0u8..8,
-        duplicate in any::<bool>(),
-    ) {
-        let blocks: Vec<Bytes> = frames.iter().map(Frame::encode).collect();
-        let mut buf = Vec::new();
-        encode_batch_into(&blocks, MachineType::Apollo, &mut buf).unwrap();
-        let i = idx % buf.len();
-        if duplicate {
-            // Duplicating a byte shifts everything after it — a classic
-            // framing slip.
-            let b = buf[i];
-            buf.insert(i, b);
-        } else {
-            buf[i] ^= 1 << bit;
-        }
-        // Structural damage must surface as a clean Err; a flip that only
-        // grazes a payload byte may still decode, but the result must stay
-        // internally consistent. Nothing may panic.
-        if let Ok(container) = Frame::decode(&buf) {
-            if container.header.frame_type == FrameType::Batch {
-                if let Ok(members) = decode_batch(&container) {
-                    prop_assert_eq!(members.len(), container.header.aux as usize);
-                }
-                let _ = decode_batch_frames(&container);
-            }
-        }
     }
 
     #[test]
