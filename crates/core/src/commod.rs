@@ -26,7 +26,9 @@ use ntcs_nucleus::obs::{
     event_kind, hop_kind, render_module_snapshot_json, render_module_table, HopRecord,
     ModuleReport, ObsQuery, ObsReply, ReportSource, TraceId,
 };
-use ntcs_nucleus::{Delivery, Nucleus, NucleusConfig, NucleusMetricsSnapshot, Received, SendOpts};
+use ntcs_nucleus::{
+    Delivery, Nucleus, NucleusConfig, NucleusMetricsSnapshot, Received, SendOpts, SendReport,
+};
 use ntcs_wire::Message;
 use parking_lot::RwLock;
 
@@ -392,8 +394,8 @@ impl ComMod {
     }
 
     /// The one ALI send: parameter check, time stamp, SEND hop, the
-    /// Nucleus send, the hops for what that send reported, and the monitor
-    /// event. `traced` draws a fresh trace id for the journey.
+    /// Nucleus send, and [`ComMod::sent`]'s hops and monitor event.
+    /// `traced` draws a fresh trace id for the journey.
     fn send_as<M: Message>(
         &self,
         dst: UAdd,
@@ -407,45 +409,74 @@ impl ComMod {
         } else {
             TraceId::NULL
         };
-        let reliable = matches!(delivery, Delivery::Reliable { .. });
-        let msg_id = self.monitored(dst, |ts| {
-            self.hop(hop_kind::SEND, trace, 0, dst, 0, || {
-                let what = if reliable { "reliable send" } else { "send" };
-                format!("{what} from {}", self.name_hint)
-            });
-            let (sent, report) = self.nucleus.send(dst, msg, SendOpts { delivery, trace });
-            // A STALL hop per credit-window stall, even when the send
-            // failed — the reassembled journey must show where it waited.
-            for _ in 0..report.credit_stalls {
-                self.hop(hop_kind::STALL, trace, 0, dst, 0, || {
-                    "waited for credit: receiver window exhausted".into()
-                });
-            }
-            let msg_id = sent?;
-            // A one-way send's §3.5 recovery reads as a FAULT/RECONNECT
-            // pair; a reliable send's recovery legs show as bumped spans.
-            if report.address_faults > 0 && delivery == ONE_WAY {
-                self.monitor(MonitorEventKind::Reconnect, dst, msg_id, ts);
-                self.hop(hop_kind::FAULT, trace, 0, dst, msg_id, || {
-                    "address fault: destination relocated".into()
-                });
-                self.hop(hop_kind::RECONNECT, trace, 1, dst, msg_id, || {
-                    "re-established on the forwarded address".into()
-                });
-            }
-            if report.handoff {
-                self.hop(hop_kind::HANDOFF, trace, 2, dst, msg_id, || {
-                    "circuit re-selected onto a different substrate".into()
-                });
-            }
-            // A cast has no message id at this interface.
-            Ok(if delivery == Delivery::Cast {
-                0
-            } else {
-                msg_id
-            })
-        })?;
+        let ts = self.stamp();
+        self.send_hop(dst, delivery, trace);
+        let (sent, report) = self.nucleus.send(dst, msg, SendOpts { delivery, trace });
+        self.sent(dst, delivery, trace, ts, sent.as_ref().ok(), &report);
+        let msg_id = sent?;
+        // A cast has no message id at this interface.
+        let msg_id = if delivery == Delivery::Cast {
+            0
+        } else {
+            msg_id
+        };
         Ok((msg_id, trace))
+    }
+
+    /// The SEND hop that opens a journey.
+    fn send_hop(&self, dst: UAdd, delivery: Delivery, trace: TraceId) {
+        self.hop(hop_kind::SEND, trace, 0, dst, 0, || {
+            let reliable = matches!(delivery, Delivery::Reliable { .. });
+            let what = if reliable { "reliable send" } else { "send" };
+            format!("{what} from {}", self.name_hint)
+        });
+    }
+
+    /// The hops and the monitor event for what one Nucleus send reported:
+    /// `msg_id` is the message's id if it went out, `ts` the stamp taken
+    /// before the send.
+    fn sent(
+        &self,
+        dst: UAdd,
+        delivery: Delivery,
+        trace: TraceId,
+        ts: i64,
+        msg_id: Option<&u64>,
+        report: &SendReport,
+    ) {
+        // A STALL hop per credit-window stall, even when the send
+        // failed — the reassembled journey must show where it waited.
+        for _ in 0..report.credit_stalls {
+            self.hop(hop_kind::STALL, trace, 0, dst, 0, || {
+                "waited for credit: receiver window exhausted".into()
+            });
+        }
+        let Some(&msg_id) = msg_id else {
+            return;
+        };
+        // A one-way send's §3.5 recovery reads as a FAULT/RECONNECT
+        // pair; a reliable send's recovery legs show as bumped spans.
+        if report.address_faults > 0 && delivery == ONE_WAY {
+            self.monitor(MonitorEventKind::Reconnect, dst, msg_id, ts);
+            self.hop(hop_kind::FAULT, trace, 0, dst, msg_id, || {
+                "address fault: destination relocated".into()
+            });
+            self.hop(hop_kind::RECONNECT, trace, 1, dst, msg_id, || {
+                "re-established on the forwarded address".into()
+            });
+        }
+        if report.handoff {
+            self.hop(hop_kind::HANDOFF, trace, 2, dst, msg_id, || {
+                "circuit re-selected onto a different substrate".into()
+            });
+        }
+        // A cast has no message id at this interface.
+        let monitored_id = if delivery == Delivery::Cast {
+            0
+        } else {
+            msg_id
+        };
+        self.monitor(MonitorEventKind::Send, dst, monitored_id, ts);
     }
 
     /// Asynchronous send: queues the message toward `dst`, transparently
@@ -536,7 +567,10 @@ impl ComMod {
     }
 
     /// Synchronous send/receive/reply exchange (§1.3): sends and waits for
-    /// the correlated reply.
+    /// the correlated reply. If the destination relocates while the
+    /// request is in flight, the request is re-issued under the same id to
+    /// the new incarnation ([`Nucleus::request`]); the destination may then
+    /// see it twice.
     ///
     /// # Errors
     ///
@@ -547,11 +581,17 @@ impl ComMod {
         msg: &M,
         timeout: Option<Duration>,
     ) -> Result<Incoming> {
-        let request = Delivery::Send {
+        const REQUEST: Delivery = Delivery::Send {
             reply_expected: true,
         };
-        let (msg_id, _) = self.send_as(dst, msg, request, false)?;
-        let received = self.nucleus.wait_reply(msg_id, timeout)?;
+        Self::check_dst(dst)?;
+        // Untraced, so no hop is reported; `sent` records the monitor event.
+        let ts = self.stamp();
+        let received =
+            self.nucleus
+                .request_with(dst, msg, TraceId::NULL, timeout, |msg_id, report| {
+                    self.sent(dst, REQUEST, TraceId::NULL, ts, msg_id.as_ref(), report);
+                })?;
         Ok(self.delivered(received))
     }
 
@@ -624,8 +664,13 @@ impl ComMod {
     /// Relocates this module to another machine (§3.5): binds a fresh ComMod
     /// there, re-registers under the same attributes (advancing the
     /// generation and marking this incarnation dead), and shuts this binding
-    /// down. Peers' next sends fault, obtain the forwarding UAdd, and
-    /// reconnect — transparently at their interface.
+    /// down. A peer's next send to the old UAdd faults, obtains the
+    /// forwarding UAdd and reconnects, transparently at its interface. A
+    /// peer's request still awaiting its reply when the old circuit closes
+    /// is re-issued to the new incarnation under the same id
+    /// ([`Nucleus::request`]), so it may be served twice. What this binding
+    /// holds is not carried over: its undrained inbox is lost, and so are
+    /// casts and one-way sends that were in flight toward it.
     ///
     /// # Errors
     ///

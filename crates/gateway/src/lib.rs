@@ -59,6 +59,9 @@ pub struct GatewayMetrics {
     pub circuits_spliced: AtomicU64,
     /// Raw blocks relayed (both directions).
     pub frames_relayed: AtomicU64,
+    /// Raw blocks read from one side of a splice that the other side no
+    /// longer accepted (its hop was gone); the splice tears down after.
+    pub frames_dropped: AtomicU64,
     /// Splices torn down after a failure on either side.
     pub teardowns: AtomicU64,
     /// Transit opens refused (bad route, unreachable next hop).
@@ -71,6 +74,7 @@ pub struct GatewayMetrics {
 pub struct GatewayMetricsSnapshot {
     pub circuits_spliced: u64,
     pub frames_relayed: u64,
+    pub frames_dropped: u64,
     pub teardowns: u64,
     pub refusals: u64,
 }
@@ -203,7 +207,10 @@ fn spawn_relay(from: Lvc, to: Lvc, metrics: Arc<GatewayMetrics>, nucleus: Nucleu
                         // capacity — the hop-by-hop backpressure path: a
                         // stalled relay stops reading upstream, which fills
                         // *that* link, and so on back to the origin.
+                        let len = block.len() as u64;
                         if to.send_raw(block).is_err() {
+                            metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                            nucleus.recorder().record(event_kind::DROP, 0, 0, len);
                             break;
                         }
                         metrics.frames_relayed.fetch_add(1, Ordering::Relaxed);
@@ -241,6 +248,10 @@ fn gateway_report(nucleus: &Nucleus, metrics: &GatewayMetrics) -> ModuleReport {
             "gw_frames_relayed",
             metrics.frames_relayed.load(Ordering::Relaxed),
         ),
+        (
+            "gw_frames_dropped",
+            metrics.frames_dropped.load(Ordering::Relaxed),
+        ),
         ("gw_teardowns", metrics.teardowns.load(Ordering::Relaxed)),
         ("gw_refusals", metrics.refusals.load(Ordering::Relaxed)),
     ]);
@@ -250,7 +261,7 @@ fn gateway_report(nucleus: &Nucleus, metrics: &GatewayMetrics) -> ModuleReport {
 /// Answers [`ObsQuery`] probes aimed at the gateway with a point-in-time
 /// snapshot. The responder pulls ONLY `ObsQuery` messages out of the
 /// shared inbox (`recv_of_type`): the gateway's own NSP layer parks RPC
-/// replies there for `wait_reply` to claim, and a FIFO drain would steal
+/// replies there for its `request` to claim, and a FIFO drain would steal
 /// them mid-splice. Everything else keeps the pre-responder behaviour
 /// (a bounded inbox that sheds when full). Exits when the Nucleus shuts
 /// down.
@@ -394,6 +405,7 @@ impl Gateway {
         GatewayMetricsSnapshot {
             circuits_spliced: self.metrics.circuits_spliced.load(Ordering::Relaxed),
             frames_relayed: self.metrics.frames_relayed.load(Ordering::Relaxed),
+            frames_dropped: self.metrics.frames_dropped.load(Ordering::Relaxed),
             teardowns: self.metrics.teardowns.load(Ordering::Relaxed),
             refusals: self.metrics.refusals.load(Ordering::Relaxed),
         }
@@ -695,6 +707,22 @@ mod tests {
         )
         .unwrap();
         nb.recv(T).unwrap();
+        // A frame goes into the chain just before the destination dies. The
+        // source network's latency holds it inside the relay while the
+        // splice collapses, so it reaches the dead hop: it must be refused
+        // at the source or counted as dropped by the relay, never vanish.
+        lab.world
+            .set_latency(lab.nets[0], Duration::from_millis(300))
+            .unwrap();
+        let doomed = send_msg(
+            &na,
+            ub,
+            &Packet {
+                seq: 2,
+                body: "doomed".into(),
+            },
+        );
+        std::thread::sleep(Duration::from_millis(50));
         // Kill the destination: "module death is detected by the ND-layer in
         // any connected module … This process continues until the originating
         // module is eventually reached" (§4.3).
@@ -706,13 +734,22 @@ mod tests {
             .unwrap()
             .id;
         lab.world.crash(dst_machine);
+        lab.world.set_latency(lab.nets[0], Duration::ZERO).unwrap();
         std::thread::sleep(Duration::from_millis(700));
         assert!(gw.metrics().teardowns >= 1);
+        let dropped = gw.metrics().frames_dropped;
+        assert!(
+            doomed.is_err() || dropped == 1,
+            "frame sent into the collapsing chain neither refused nor counted: {doomed:?}, {dropped} dropped"
+        );
+        let report = gw.module_report();
+        assert!(report.counters.contains(&("gw_frames_dropped", dropped)));
+        assert!(report.events.iter().any(|e| e.kind == event_kind::DROP));
         let err = send_msg(
             &na,
             ub,
             &Packet {
-                seq: 2,
+                seq: 3,
                 body: "down".into(),
             },
         )

@@ -412,6 +412,17 @@ impl World {
         });
     }
 
+    /// Whether `owner`'s TCP listener on `port` has been closed.
+    fn tcp_listener_closed(&self, owner: MachineId, port: u16) -> bool {
+        self.machine(owner).is_ok_and(|state| {
+            state
+                .tcp_listeners
+                .lock()
+                .iter()
+                .any(|l| l.is_closed() && l.port().ok() == Some(port))
+        })
+    }
+
     /// Creates a listening communication resource for `machine` on
     /// `network` — an MBX server mailbox or a bound TCP port (§3.2: "the
     /// module creates any necessary communication resources").
@@ -549,6 +560,14 @@ impl World {
                 }
                 if !self.is_alive(owner) {
                     return Err(NtcsError::ConnectRefused(format!("{owner} is down")));
+                }
+                // A closed listener keeps its port bound while circuits it
+                // accepted live on; the kernel would still queue the dial,
+                // and the handshake would wait out its timeout.
+                if self.tcp_listener_closed(owner, *port) {
+                    return Err(NtcsError::ConnectRefused(format!(
+                        "listener on port {port} is closed"
+                    )));
                 }
                 let chan = tcp_connect(
                     host,
@@ -1148,6 +1167,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dial_to_a_closed_tcp_listener_is_refused() {
+        // A closed listener stays bound until the machine next creates
+        // one; a dial in that window must be refused at once rather than
+        // queue in the kernel and wait out the handshake timeout.
+        let (w, a, b, net) = two_machine_world(NetKind::Tcp);
+        let (addr, listener) = w.create_listener(b, net, "svc").unwrap();
+        listener.close();
+        let began = Instant::now();
+        let dialed = w.connect(a, &addr);
+        assert!(matches!(dialed, Err(NtcsError::ConnectRefused(_))));
+        assert!(began.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

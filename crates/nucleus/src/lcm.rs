@@ -133,6 +133,15 @@ impl FrameSpec<'_> {
     }
 }
 
+/// The circuit a send went out on: what a waiting request watches for a
+/// close that may have swallowed it.
+struct Carrier {
+    conn_id: u64,
+    lvc: Lvc,
+    /// The address the frame went to (after forwarding).
+    peer: UAdd,
+}
+
 /// A message delivered by the Nucleus to the layer above.
 #[derive(Debug, Clone)]
 pub struct Received {
@@ -203,7 +212,6 @@ struct ConnEntry {
     peer_machine: MachineType,
     mode: ConvMode,
     established: bool,
-    closed: bool,
     /// Credit state when flow control is enabled (`None` otherwise).
     flow: Option<Arc<CircuitFlow>>,
     /// Which substrate this circuit rides, decided at LVC open (`None`
@@ -600,12 +608,9 @@ impl Nucleus {
         counters.push(("recorder_lost", self.inner.recorder.lost()));
         let (forwarding_entries, credits_available, inbox_depth) = {
             let st = self.inner.state.lock();
-            // Closed entries linger in `conns` until the reader notices;
-            // their dead windows must not inflate the credit gauge.
             let credits: u64 = st
                 .conns
                 .values()
-                .filter(|e| !e.closed)
                 .filter_map(|e| e.flow.as_ref().map(|f| f.window.available_bytes()))
                 .sum();
             (st.forwarding.len() as u64, credits, st.inbox.len() as u64)
@@ -774,7 +779,7 @@ impl Nucleus {
         };
         let mut report = SendReport::default();
         let sent = match opts.delivery {
-            Delivery::Send { .. } => self.deliver(dst, spec, &mut report),
+            Delivery::Send { .. } => self.deliver(dst, spec, &mut report).map(|_| ()),
             Delivery::Cast => self.cast(dst, spec, &mut report),
             Delivery::Reliable { timeout } => {
                 self.deliver_reliably(dst, spec, timeout, &mut report)
@@ -798,20 +803,104 @@ impl Nucleus {
     /// Synchronous request/reply: sends with `reply_expected` and waits for
     /// the correlated reply, leaving unrelated messages queued.
     ///
+    /// If the circuit the request went out on closes before the reply
+    /// arrives — its peer relocated or died, or a gateway tore the splice
+    /// down (§4.3) — the request is re-issued under the same msg id
+    /// through the §3.5 send loop (forwarding table, address fault,
+    /// forwarding query, reconnect), at most `max_relocations` times. A
+    /// request that reached the old incarnation before it closed may so
+    /// run twice: like any [`Delivery::Send`], a request is not protected
+    /// against duplicates.
+    ///
     /// # Errors
     ///
-    /// Send errors, or [`NtcsError::Timeout`] if no reply arrives.
+    /// Send errors (of the first send or of a re-issue), or
+    /// [`NtcsError::Timeout`] if no reply arrives.
     pub fn request<M: Message>(
         &self,
         dst: UAdd,
         msg: &M,
         timeout: Option<Duration>,
     ) -> Result<Received> {
-        let request = SendOpts::new(Delivery::Send {
-            reply_expected: true,
-        });
-        let msg_id = self.send(dst, msg, request).0?;
-        self.wait_reply(msg_id, timeout)
+        self.request_with(dst, msg, TraceId::NULL, timeout, |_, _| {})
+    }
+
+    /// [`Nucleus::request`] under the causal trace id `trace`, calling
+    /// `on_sent` once the first send is over — with the request's msg id if
+    /// it went out — and before the wait for the reply begins (the ALI
+    /// reports its hops and monitor events there).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Nucleus::request`].
+    pub fn request_with<M: Message>(
+        &self,
+        dst: UAdd,
+        msg: &M,
+        trace: TraceId,
+        timeout: Option<Duration>,
+        on_sent: impl FnOnce(Option<u64>, &SendReport),
+    ) -> Result<Received> {
+        let encode = |mode, machine| ntcs_wire::encode_payload(msg, mode, machine);
+        let spec = FrameSpec {
+            msg_id: self.next_msg_id(),
+            reply_to: 0,
+            delivery: Delivery::Send {
+                reply_expected: true,
+            },
+            trace: trace.raw(),
+            span: 0,
+            type_id: M::TYPE_ID,
+            encode: &encode,
+        };
+        let msg_id = spec.msg_id;
+        let mut report = SendReport::default();
+        let sent = self.deliver(dst, spec, &mut report);
+        on_sent(sent.as_ref().ok().map(|_| msg_id), &report);
+        let mut carrier = sent?;
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut reissues = 0;
+        loop {
+            if self.is_shut_down() {
+                return Err(NtcsError::ShutDown);
+            }
+            if let Some(m) = self.take_queued(|m| m.reply_to == msg_id) {
+                return Ok(m);
+            }
+            if carrier.lvc.is_closed() && reissues < self.inner.config.max_relocations {
+                // The reader queues the close behind every frame the
+                // circuit carried: re-issue only once the close has been
+                // dispatched, so a reply that beat it is taken, not
+                // duplicated.
+                if !self.inner.state.lock().conns.contains_key(&carrier.conn_id) {
+                    reissues += 1;
+                    self.note_reissue(dst, msg_id, reissues);
+                    let leg = FrameSpec {
+                        span: spec.span + report.address_faults + reissues,
+                        ..spec
+                    };
+                    carrier = self.deliver_after(dst, leg, Some(carrier.peer), &mut report)?;
+                    continue;
+                }
+            }
+            self.pump_once(remaining(deadline)?)?;
+        }
+    }
+
+    /// Counts and records one request re-issue (see [`Nucleus::request`]).
+    fn note_reissue(&self, dst: UAdd, msg_id: u64, n: u32) {
+        self.inner
+            .metrics
+            .bump(&self.inner.metrics.request_reissues);
+        self.inner
+            .recorder
+            .record(event_kind::RETRY, dst.raw(), msg_id, u64::from(n));
+        self.inner.trace.record(
+            self.inner.gauge.depth(),
+            Layer::Lcm,
+            "reissue",
+            format!("{dst} msg {msg_id}: circuit closed before the reply (re-issue {n})"),
+        );
     }
 
     /// Replies to a received message, preferring the circuit it arrived on
@@ -844,7 +933,7 @@ impl Nucleus {
             let st = self.inner.state.lock();
             st.conns
                 .get(&to.conn_id)
-                .filter(|e| !e.closed && e.established)
+                .filter(|e| e.established)
                 .map(|e| (e.lvc.clone(), e.mode, e.wire_peer, e.peer))
         };
         if let Some((lvc, mode, wire_peer, peer)) = arrival {
@@ -881,7 +970,7 @@ impl Nucleus {
     /// inbox entry untouched. Dedicated responder threads (the gateway's
     /// [`crate::obs::ObsQuery`] answerer) must use this rather than
     /// [`Nucleus::recv`]: the shared inbox also carries RPC replies that a
-    /// concurrent [`Nucleus::wait_reply`] on another thread will claim by
+    /// concurrent [`Nucleus::request`] on another thread will claim by
     /// `reply_to`, and a FIFO pop would steal them.
     ///
     /// # Errors
@@ -919,37 +1008,37 @@ impl Nucleus {
             if self.is_shut_down() {
                 return Err(NtcsError::ShutDown);
             }
-            let taken = {
-                let mut st = self.inner.state.lock();
-                st.inbox
-                    .iter()
-                    .position(&pred)
-                    .and_then(|pos| st.inbox.remove(pos))
-                    .map(|m| {
-                        let bulk = Lane::classify(m.payload.type_id) == Lane::Bulk;
-                        let circuit = st.conns.get(&m.conn_id).and_then(|e| {
-                            let flow = e.flow.as_ref().filter(|_| bulk).cloned();
-                            (m.reliable || flow.is_some())
-                                .then(|| (e.lvc.clone(), e.wire_peer, flow))
-                        });
-                        (m, circuit)
-                    })
-            };
-            let Some((m, circuit)) = taken else {
-                self.pump_once(remaining(deadline)?)?;
-                continue;
-            };
-            self.inner.metrics.bump(&self.inner.metrics.recvs);
-            if let Some((lvc, wire_peer, flow)) = circuit {
-                if m.reliable {
-                    send_reliable_ack(&self.inner, &lvc, wire_peer, m.msg_id);
-                }
-                if let Some(grant) = flow.and_then(|f| f.ledger.on_drain(m.payload.bytes.len())) {
-                    send_credit(&self.inner, &lvc, wire_peer, grant.0, grant.1);
-                }
+            if let Some(m) = self.take_queued(&pred) {
+                return Ok(m);
             }
-            return Ok(m);
+            self.pump_once(remaining(deadline)?)?;
         }
+    }
+
+    /// [`Nucleus::take`] without the wait: removes and delivers the first
+    /// queued message matching `pred`, if there is one.
+    fn take_queued(&self, pred: impl Fn(&Received) -> bool) -> Option<Received> {
+        let (m, circuit) = {
+            let mut st = self.inner.state.lock();
+            let pos = st.inbox.iter().position(pred)?;
+            let m = st.inbox.remove(pos)?;
+            let bulk = Lane::classify(m.payload.type_id) == Lane::Bulk;
+            let circuit = st.conns.get(&m.conn_id).and_then(|e| {
+                let flow = e.flow.as_ref().filter(|_| bulk).cloned();
+                (m.reliable || flow.is_some()).then(|| (e.lvc.clone(), e.wire_peer, flow))
+            });
+            (m, circuit)
+        };
+        self.inner.metrics.bump(&self.inner.metrics.recvs);
+        if let Some((lvc, wire_peer, flow)) = circuit {
+            if m.reliable {
+                send_reliable_ack(&self.inner, &lvc, wire_peer, m.msg_id);
+            }
+            if let Some(grant) = flow.and_then(|f| f.ledger.on_drain(m.payload.bytes.len())) {
+                send_credit(&self.inner, &lvc, wire_peer, grant.0, grant.1);
+            }
+        }
+        Some(m)
     }
 
     /// Reliable delivery ([`Delivery::Reliable`]): retransmits `spec` with
@@ -1006,7 +1095,7 @@ impl Nucleus {
             };
             attempts += 1;
             match self.deliver(dst, attempt, report) {
-                Ok(()) => {}
+                Ok(_) => {}
                 Err(e) if e.is_transient() => {
                     // Circuit down, breaker open, or establishment timed
                     // out: survive it — wait out this attempt's window
@@ -1048,7 +1137,7 @@ impl Nucleus {
                     .bump(&self.inner.metrics.dropped_messages);
                 Ok(())
             }
-            Ok(()) => Ok(()),
+            Ok(_) => Ok(()),
         }
     }
 
@@ -1132,7 +1221,23 @@ impl Nucleus {
     /// table, pass the breaker gate, send once, and — for the
     /// connection-oriented classes — meet an address fault by asking for a
     /// forwarding address and trying again, up to `max_relocations` times.
-    fn deliver(&self, dst: UAdd, spec: FrameSpec<'_>, report: &mut SendReport) -> Result<()> {
+    /// Hands back the circuit the frame went out on.
+    fn deliver(&self, dst: UAdd, spec: FrameSpec<'_>, report: &mut SendReport) -> Result<Carrier> {
+        self.deliver_after(dst, spec, None, report)
+    }
+
+    /// [`Nucleus::deliver`] for a message whose previous copy went out to
+    /// `closed` on a circuit that has closed since: if `dst` still leads
+    /// there, that close is the address fault (§3.5), met before any
+    /// send, so the old address is never dialled again when the naming
+    /// service knows its replacement.
+    fn deliver_after(
+        &self,
+        dst: UAdd,
+        spec: FrameSpec<'_>,
+        mut closed: Option<UAdd>,
+        report: &mut SendReport,
+    ) -> Result<Carrier> {
         if self.is_shut_down() {
             return Err(NtcsError::ShutDown);
         }
@@ -1159,8 +1264,13 @@ impl Nucleus {
                 span: spec.span + attempts,
                 ..spec
             };
-            match self.try_send_once(target, leg, report) {
-                Ok(()) => {
+            let sent = if closed.take() == Some(target) {
+                Err(NtcsError::ConnectionClosed)
+            } else {
+                self.try_send_once(target, leg, report)
+            };
+            match sent {
+                Ok(carrier) => {
                     if self.inner.breakers.record_success(target) {
                         self.inner
                             .metrics
@@ -1196,7 +1306,7 @@ impl Nucleus {
                     self.inner
                         .recorder
                         .record(event_kind::SEND, target.raw(), spec.msg_id, 0);
-                    return Ok(());
+                    return Ok(carrier);
                 }
                 Err(e) if e.is_relocation_candidate() && !spec.connectionless() => {
                     self.inner.metrics.bump(&self.inner.metrics.address_faults);
@@ -1307,16 +1417,12 @@ impl Nucleus {
         target: UAdd,
         spec: FrameSpec<'_>,
         report: &mut SendReport,
-    ) -> Result<()> {
+    ) -> Result<Carrier> {
         let (conn_id, handoff) = self.ensure_conn(target, spec.connectionless())?;
         report.handoff |= handoff;
         let (lvc, mode, wire_peer, flow) = {
             let st = self.inner.state.lock();
-            let e = st
-                .conns
-                .get(&conn_id)
-                .filter(|e| !e.closed)
-                .ok_or(NtcsError::ConnectionClosed)?;
+            let e = st.conns.get(&conn_id).ok_or(NtcsError::ConnectionClosed)?;
             (e.lvc.clone(), e.mode, e.wire_peer, e.flow.clone())
         };
         let frame = self.data_frame(mode, wire_peer, &spec);
@@ -1330,8 +1436,17 @@ impl Nucleus {
                 self.acquire_credit(flow, frame.payload.len(), target, &spec, report)?;
             }
         }
-        lvc.send_frame(&frame)
-            .inspect_err(|_| self.mark_conn_closed(conn_id))
+        match lvc.send_frame(&frame) {
+            Ok(()) => Ok(Carrier {
+                conn_id,
+                lvc,
+                peer: target,
+            }),
+            Err(e) => {
+                self.mark_conn_closed(conn_id);
+                Err(e)
+            }
+        }
     }
 
     /// Debits `need` bytes and one frame from the circuit's credit
@@ -1482,19 +1597,20 @@ impl Nucleus {
         }
     }
 
+    /// The one close path: a send that failed, a peer that hung up (the
+    /// reader's `Closed` event), a timed-out open or a substrate upgrade
+    /// all retire the circuit here, once — closed, out of `conns` and
+    /// `by_peer`, and recorded.
     fn mark_conn_closed(&self, conn_id: u64) {
         let mut st = self.inner.state.lock();
-        if let Some(e) = st.conns.get_mut(&conn_id) {
-            e.closed = true;
+        if let Some(e) = st.conns.remove(&conn_id) {
             e.lvc.close();
-            let peer = e.peer;
             self.inner
                 .recorder
-                .record(event_kind::CIRCUIT_CLOSE, peer.raw(), 0, 0);
-            if st.by_peer.get(&peer) == Some(&conn_id) {
-                st.by_peer.remove(&peer);
+                .record(event_kind::CIRCUIT_CLOSE, e.peer.raw(), 0, 0);
+            if st.by_peer.get(&e.peer) == Some(&conn_id) {
+                st.by_peer.remove(&e.peer);
             }
-            st.conns.remove(&conn_id);
         }
     }
 
@@ -1516,7 +1632,7 @@ impl Nucleus {
             let mut st = self.inner.state.lock();
             if let Some(&id) = st.by_peer.get(&target) {
                 match st.conns.get(&id) {
-                    Some(e) if !e.closed => {
+                    Some(e) => {
                         let udp_bound = e.binding.is_some_and(|b| b.code == SubstrateBinding::UDP);
                         if udp_bound && !datagram && self.inner.config.substrate.adaptive {
                             upgrade = Some(id);
@@ -1524,7 +1640,7 @@ impl Nucleus {
                             return Ok((id, false));
                         }
                     }
-                    _ => {
+                    None => {
                         st.by_peer.remove(&target);
                     }
                 }
@@ -1886,7 +2002,6 @@ impl Nucleus {
                     peer_machine: resolved.machine_type,
                     mode: ConvMode::Packed, // provisional until the ack
                     established: false,
-                    closed: false,
                     flow: new_circuit_flow(&self.inner.config),
                     binding: Some(SubstrateBinding::for_addr(first_addr)),
                 },
@@ -1903,7 +2018,6 @@ impl Nucleus {
                 let st = self.inner.state.lock();
                 match st.conns.get(&conn_id) {
                     Some(e) if e.established => break,
-                    Some(e) if e.closed => return Err(NtcsError::ConnectionClosed),
                     Some(_) => {}
                     None => return Err(NtcsError::ConnectionClosed),
                 }
@@ -1953,13 +2067,7 @@ impl Nucleus {
 
     fn dispatch(&self, ev: Event) {
         match ev {
-            Event::Closed { conn_id } => {
-                let mut st = self.inner.state.lock();
-                if let Some(e) = st.conns.get_mut(&conn_id) {
-                    e.closed = true;
-                    e.lvc.close();
-                }
-            }
+            Event::Closed { conn_id } => self.mark_conn_closed(conn_id),
             Event::Frame { conn_id, frame } => self.dispatch_frame(conn_id, frame),
         }
     }
@@ -2305,7 +2413,6 @@ fn greet_inbound(inner: &Arc<Inner>, lvc: Lvc) {
                 peer_machine: open.header.src_machine,
                 mode,
                 established: true,
-                closed: false,
                 flow: new_circuit_flow(&inner.config),
                 binding: None,
             },
@@ -2646,6 +2753,130 @@ mod tests {
         let err = send_msg(&r.a, r.ub, &Greeting::default(), false).unwrap_err();
         assert!(err.is_relocation_candidate(), "{err}");
         assert!(r.a.metrics().snapshot().address_faults >= 1);
+    }
+
+    /// A caller `a` on machine 0 and a factory for incarnations of one
+    /// peer module on machines 1 and 2, in turn: each binds under a fresh
+    /// UAdd that `a` can locate through its well-known table.
+    struct MovingPeer {
+        world: World,
+        a: Nucleus,
+        gen: UAddGenerator,
+        homes: [MachineId; 2],
+        moves: usize,
+    }
+
+    impl MovingPeer {
+        fn new() -> Self {
+            let world = World::new();
+            let net = world.add_network(NetKind::Mbx, "lab");
+            let ma = world.add_machine(MachineType::Vax, "ma", &[net]).unwrap();
+            let homes = [
+                world.add_machine(MachineType::Sun, "h0", &[net]).unwrap(),
+                world.add_machine(MachineType::Sun, "h1", &[net]).unwrap(),
+            ];
+            let gen = UAddGenerator::new(0);
+            let a = Nucleus::bind(&world, NucleusConfig::new(ma, "a")).unwrap();
+            a.set_my_uadd(gen.generate());
+            MovingPeer {
+                world,
+                a,
+                gen,
+                homes,
+                moves: 0,
+            }
+        }
+
+        /// Binds the next incarnation of the peer.
+        fn incarnate(&mut self) -> (Nucleus, UAdd) {
+            let home = self.homes[self.moves % 2];
+            let hint = format!("b{}", self.moves);
+            self.moves += 1;
+            let b = Nucleus::bind(&self.world, NucleusConfig::new(home, &hint)).unwrap();
+            let ub = self.gen.generate();
+            b.set_my_uadd(ub);
+            self.a
+                .statics()
+                .preload(ub, b.nd().phys_addrs(), MachineType::Sun);
+            (b, ub)
+        }
+    }
+
+    #[test]
+    fn circuits_closed_by_the_peer_leave_the_tables() {
+        // One peer relocated 20 times under a caller that keeps sending to
+        // its first address. Each old incarnation's circuit is closed from
+        // the far end; the caller must retire it through the one close
+        // path (one CIRCUIT_CLOSE each), not keep it until shutdown.
+        let mut p = MovingPeer::new();
+        let (mut b, mut ub) = p.incarnate();
+        let first = ub;
+        let g = Greeting {
+            text: "hop".into(),
+            n: 0,
+        };
+        for _ in 0..20 {
+            send_msg(&p.a, first, &g, false).unwrap();
+            b.recv(T).unwrap();
+            let (next, next_u) = p.incarnate();
+            p.a.note_forwarding(ub, next_u);
+            b.shutdown();
+            (b, ub) = (next, next_u);
+        }
+        send_msg(&p.a, first, &g, false).unwrap();
+        b.recv(T).unwrap();
+        // The last close may still be queued: pump until it is dispatched.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while p.a.recorder().seen(event_kind::CIRCUIT_CLOSE) < 20 && Instant::now() < deadline {
+            let _ = p.a.recv(Some(Duration::from_millis(10)));
+        }
+        assert_eq!(p.a.recorder().seen(event_kind::CIRCUIT_CLOSE), 20);
+        let st = p.a.inner.state.lock();
+        assert_eq!(
+            st.conns.len(),
+            1,
+            "one live circuit, to the newest incarnation"
+        );
+        assert_eq!(st.by_peer.keys().copied().collect::<Vec<_>>(), vec![ub]);
+    }
+
+    #[test]
+    fn request_is_reissued_when_its_circuit_closes() {
+        // The request reaches the old incarnation, which moves instead of
+        // answering: the caller's wait sees the circuit close and re-issues
+        // the request, same msg id, to the forwarded address.
+        let mut p = MovingPeer::new();
+        let (b, ub) = p.incarnate();
+        let a = p.a.clone();
+        let asker = std::thread::spawn(move || {
+            a.request(
+                ub,
+                &Greeting {
+                    text: "q".into(),
+                    n: 1,
+                },
+                T,
+            )
+        });
+        let held = b.recv(T).unwrap();
+        let (b2, ub2) = p.incarnate();
+        p.a.note_forwarding(ub, ub2);
+        b.shutdown();
+        let again = b2.recv(T).unwrap();
+        assert_eq!(again.msg_id, held.msg_id, "re-issued under the same id");
+        assert!(again.span > held.span, "the re-issue bumps the span");
+        b2.reply_message(
+            &again,
+            &Answer {
+                ok: true,
+                echo: "moved".into(),
+            },
+        )
+        .unwrap();
+        let reply = asker.join().unwrap().unwrap();
+        assert_eq!(reply.src, ub2);
+        assert_eq!(reply.reply_to, held.msg_id);
+        assert_eq!(p.a.metrics().snapshot().request_reissues, 1);
     }
 
     #[test]

@@ -28,6 +28,9 @@ pub struct NucleusMetrics {
     pub forward_queries: AtomicU64,
     /// Successful transparent reconnections after a fault.
     pub reconnects: AtomicU64,
+    /// Requests re-issued because the circuit that carried them closed
+    /// before the reply arrived.
+    pub request_reissues: AtomicU64,
     /// TAdd table entries replaced by real UAdds (§3.4 purge).
     pub tadd_purges: AtomicU64,
     /// Naming-service lookups (UAdd → phys).
@@ -92,6 +95,7 @@ pub struct NucleusMetricsSnapshot {
     pub address_faults: u64,
     pub forward_queries: u64,
     pub reconnects: u64,
+    pub request_reissues: u64,
     pub tadd_purges: u64,
     pub ns_lookups: u64,
     pub route_queries: u64,
@@ -139,6 +143,7 @@ impl NucleusMetrics {
             address_faults: self.address_faults.load(Ordering::Relaxed),
             forward_queries: self.forward_queries.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
+            request_reissues: self.request_reissues.load(Ordering::Relaxed),
             tadd_purges: self.tadd_purges.load(Ordering::Relaxed),
             ns_lookups: self.ns_lookups.load(Ordering::Relaxed),
             route_queries: self.route_queries.load(Ordering::Relaxed),
@@ -179,6 +184,7 @@ impl NucleusMetricsSnapshot {
             ("address_faults", self.address_faults),
             ("forward_queries", self.forward_queries),
             ("reconnects", self.reconnects),
+            ("request_reissues", self.request_reissues),
             ("tadd_purges", self.tadd_purges),
             ("ns_lookups", self.ns_lookups),
             ("route_queries", self.route_queries),

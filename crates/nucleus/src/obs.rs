@@ -352,9 +352,13 @@ pub mod event_kind {
     /// aux is the chosen substrate code (1 shm, 2 mbx, 3 udp, 4 tcp); for
     /// a relocation handoff, aux = `0x100 | (old_code << 4) | new_code`.
     pub const SUBSTRATE: u32 = 16;
+    /// A frame was discarded because the hop it was bound for was gone
+    /// (aux = frame bytes), e.g. by a gateway relay whose splice is
+    /// collapsing (§4.3).
+    pub const DROP: u32 = 17;
 
     /// Number of distinct event kinds (for per-kind sampling counters).
-    pub(crate) const COUNT: usize = 17;
+    pub(crate) const COUNT: usize = 18;
 
     /// Whether a kind is hot-path (per-message) and therefore subject to
     /// 1-in-2^shift sampling. Failure-path kinds always record.
@@ -382,6 +386,7 @@ pub mod event_kind {
             CACHE_MISS => "cache-miss",
             CACHE_INVALIDATE => "cache-invalidate",
             SUBSTRATE => "substrate",
+            DROP => "drop",
             _ => "unknown",
         }
     }
@@ -1028,12 +1033,14 @@ pub fn help_for(name: &str) -> &'static str {
         "circuits_accepted" => "Inbound virtual circuits accepted.",
         "address_faults" => "Address faults detected (peer relocated).",
         "reconnects" => "Transparent circuit re-establishments.",
+        "request_reissues" => "Requests re-issued after their circuit closed unanswered.",
         "inbox_sheds" => "Messages shed from the bounded inbox.",
         "flow_stalls" => "Sends that stalled on an exhausted credit window.",
         "flow_sheds" => "Frames shed or dead-lettered by flow-control policy.",
         "recorder_lost" => "Flight-recorder events lost to writer lapping.",
         "gw_circuits_spliced" => "Circuits spliced through this gateway.",
         "gw_frames_relayed" => "Frames relayed through gateway splices.",
+        "gw_frames_dropped" => "Frames a gateway splice could not pass on (hop gone).",
         "gw_teardowns" => "Gateway splice teardown cascades.",
         "gw_refusals" => "Transit opens refused by this gateway.",
         "retransmit_depth" => "Reliable sends awaiting acknowledgement.",

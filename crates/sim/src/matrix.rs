@@ -78,6 +78,10 @@ pub enum Fault {
     /// A co-located SHM ring fills while its reader is wedged: the producer
     /// must surface a typed stall, never hang.
     WedgedShmRing,
+    /// A request is in flight while its destination relocates: its circuit
+    /// closes under it, and the waiter must re-issue it to the new
+    /// incarnation.
+    SendRacesRelocation,
 }
 
 impl std::fmt::Display for Fault {
@@ -96,6 +100,7 @@ impl std::fmt::Display for Fault {
             Fault::ShardSplitBrain => "shard-split-brain",
             Fault::SendRacesHandoff => "send-races-handoff",
             Fault::WedgedShmRing => "wedged-shm-ring",
+            Fault::SendRacesRelocation => "send-races-relocation",
         };
         f.write_str(s)
     }
@@ -206,6 +211,7 @@ pub fn cells() -> Vec<(Fault, MatrixLayer)> {
         (Fault::CorruptCircuit, MatrixLayer::Gateway),
         (Fault::CrashDuringSplice, MatrixLayer::Gateway),
         (Fault::HalfCompletedSend, MatrixLayer::Relocation),
+        (Fault::SendRacesRelocation, MatrixLayer::Relocation),
         (Fault::ShardReplicaCrash, MatrixLayer::Naming),
         (Fault::DroppedInvalidation, MatrixLayer::Naming),
         (Fault::LookupRacesRelocation, MatrixLayer::Naming),
@@ -259,6 +265,9 @@ pub fn expected(fault: Fault, layer: MatrixLayer) -> &'static [Verdict] {
         // A full ring with a dead reader must surface the typed stall
         // (`FlowStalled`) — never a hang, never silent loss.
         (Fault::WedgedShmRing, _) => &[CleanlyErrored],
+        // A request whose circuit dies under it is re-issued to the new
+        // incarnation inside the caller's one call: answered, never lost.
+        (Fault::SendRacesRelocation, _) => &[Recovered],
         _ => &[Recovered],
     }
 }
@@ -540,6 +549,7 @@ fn cell_body(fault: Fault, layer: MatrixLayer, seed: u64) -> (Verdict, String) {
         (Fault::HalfCompletedSend, MatrixLayer::Relocation) => {
             half_completed_send_relocation(&mut rng)
         }
+        (Fault::SendRacesRelocation, MatrixLayer::Relocation) => send_races_relocation(&mut rng),
         (Fault::ShardReplicaCrash, MatrixLayer::Naming) => shard_replica_crash_naming(&mut rng),
         (Fault::DroppedInvalidation, MatrixLayer::Naming) => dropped_invalidation_naming(&mut rng),
         (Fault::LookupRacesRelocation, MatrixLayer::Naming) => {
@@ -891,6 +901,65 @@ fn half_completed_send_relocation(rng: &mut SimRng) -> (Verdict, String) {
     (
         v,
         format!("{d} ({drops} dropped frame(s) racing a relocation)"),
+    )
+}
+
+fn send_races_relocation(rng: &mut SimRng) -> (Verdict, String) {
+    let (testbed, _net, ms) = single_net(4).expect("cell deployment");
+    let server = testbed.module(ms[1], "cell-echo").expect("echo module");
+    let client = testbed.commod(ms[2], "cell-src").expect("src commod");
+    let dst = client.locate("cell-echo").expect("locate echo");
+    warm_direct(&client, dst, &server);
+
+    // Half the seeds hold the request at the old incarnation, which moves
+    // instead of answering; the other half start the move a seeded pace
+    // after the request leaves, so it lands before, during or after it.
+    let held = rng.next_u64().is_multiple_of(2);
+    let pace = Duration::from_micros(rng.next_u64() % 4000);
+    let caller = thread::spawn(move || {
+        let res = client.send_receive(dst, &probe(7), Some(Duration::from_secs(2)));
+        (client, res)
+    });
+    if held {
+        let inc = server
+            .receive(Some(Duration::from_secs(2)))
+            .expect("request reached the old incarnation");
+        assert_eq!(inc.decode::<Probe>().expect("probe").n, 7);
+    } else {
+        thread::sleep(pace);
+    }
+    let moved = match server.relocate_to(ms[3]) {
+        Ok(c) => c,
+        Err(e) => panic!("relocation failed: {:?}", e.error),
+    };
+    // Answer the request at the new address (a copy the old incarnation
+    // held is gone with it).
+    let new_uadd = moved.my_uadd();
+    loop {
+        let inc = moved
+            .receive(Some(Duration::from_secs(3)))
+            .expect("request reached the new incarnation");
+        if inc.decode::<Probe>().is_ok_and(|p| p.n == 7) {
+            moved.reply(&inc, &probe(8)).expect("reply");
+            break;
+        }
+    }
+    let (client, res) = caller.join().expect("caller thread");
+    let reply = match res {
+        Ok(r) => r,
+        Err(e) => panic!("request lost across the relocation: {e:?}"),
+    };
+    assert_eq!(reply.decode::<Probe>().expect("reply probe").n, 8);
+    assert_eq!(reply.src(), new_uadd, "answered by the wrong incarnation");
+    let reissues = client.metrics().request_reissues;
+    let how = if held {
+        "held by the old incarnation".to_string()
+    } else {
+        format!("move {pace:?} after the send")
+    };
+    (
+        Verdict::Recovered,
+        format!("request {how}: answered from the new address ({reissues} re-issue(s))"),
     )
 }
 

@@ -10,11 +10,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ntcs::{NetKind, NtcsError};
+use ntcs::{Gateway, MachineId, MachineType, NetKind, NtcsError, Testbed};
 use ntcs_drts::host::Handler;
 use ntcs_drts::ServiceHost;
 use ntcs_repro::messages::{Answer, Ask};
 use ntcs_repro::scenarios::{line_internet, single_net};
+use ntcs_sim::{seed_list_from, SimRng};
 
 const T: Option<Duration> = Some(Duration::from_secs(10));
 
@@ -427,4 +428,129 @@ fn relocation_preserves_flow_control() {
             .unwrap();
     }
     assert_eq!(drainer.join().unwrap(), 20);
+}
+
+/// A caller and an echo with two homes to move between, all on one TCP
+/// network, or with the echo's homes three TCP networks and two gateways
+/// away from the caller.
+struct RaceLab {
+    testbed: Testbed,
+    _gateways: Vec<Gateway>,
+    caller: MachineId,
+    homes: [MachineId; 2],
+}
+
+fn race_lab(via_gateways: bool) -> RaceLab {
+    let mut tb = Testbed::builder();
+    let (caller, homes, gw_hosts) = if via_gateways {
+        let nets: Vec<_> = (0..3)
+            .map(|i| tb.add_network(NetKind::Tcp, &format!("net{i}")))
+            .collect();
+        let ns = tb.add_machine(MachineType::Sun, "ns-host", &nets).unwrap();
+        tb.name_server_on(ns);
+        let caller = tb
+            .add_machine(MachineType::Sun, "edge0", &[nets[0]])
+            .unwrap();
+        let homes = [
+            tb.add_machine(MachineType::Sun, "edge2", &[nets[2]])
+                .unwrap(),
+            tb.add_machine(MachineType::Sun, "edge2b", &[nets[2]])
+                .unwrap(),
+        ];
+        let gws = vec![
+            tb.add_machine(MachineType::Apollo, "gw-host0", &[nets[0], nets[1]])
+                .unwrap(),
+            tb.add_machine(MachineType::Apollo, "gw-host1", &[nets[1], nets[2]])
+                .unwrap(),
+        ];
+        (caller, homes, gws)
+    } else {
+        let lan = tb.add_network(NetKind::Tcp, "lan");
+        let caller = tb.add_machine(MachineType::Sun, "host0", &[lan]).unwrap();
+        tb.name_server_on(caller);
+        let homes = [
+            tb.add_machine(MachineType::Sun, "host1", &[lan]).unwrap(),
+            tb.add_machine(MachineType::Sun, "host2", &[lan]).unwrap(),
+        ];
+        (caller, homes, Vec::new())
+    };
+    let testbed = tb.start().unwrap();
+    let _gateways = gw_hosts
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| testbed.gateway(m, &format!("gw{i}")).unwrap())
+        .collect();
+    RaceLab {
+        testbed,
+        _gateways,
+        caller,
+        homes,
+    }
+}
+
+/// §3.5 recovery without the lost first request: a request issued the
+/// moment the echo's `relocate_to` returns — when the caller's circuit to
+/// the old incarnation is closing but may still accept a write — must be
+/// answered from the echo's new address within that one call. Each seed
+/// draws the request's size, 64 B to 64 KiB.
+fn first_request_after_a_move_is_answered(via_gateways: bool) {
+    let echo: fn() -> Handler = || {
+        Box::new(|commod, msg| {
+            if let Ok(a) = msg.decode::<Ask>() {
+                let _ = commod.reply(
+                    &msg,
+                    &Answer {
+                        n: a.n,
+                        body: a.body,
+                    },
+                );
+            }
+        })
+    };
+    let seeds = seed_list_from(32, None);
+    let mut failed = Vec::new();
+    for &seed in &seeds {
+        let lab = race_lab(via_gateways);
+        let host = ServiceHost::spawn(&lab.testbed, lab.homes[0], "echo", echo()).unwrap();
+        let client = lab.testbed.module(lab.caller, "caller").unwrap();
+        let dst = client.locate("echo").unwrap();
+        let warm = Ask {
+            n: 0,
+            body: String::new(),
+        };
+        client.send_receive(dst, &warm, T).unwrap();
+        host.relocate(lab.homes[1]).unwrap();
+        let size = 64 + SimRng::new(seed).next_u64() % (64 * 1024 - 63);
+        let ask = Ask {
+            n: 1,
+            body: "r".repeat(usize::try_from(size).unwrap()),
+        };
+        match client.send_receive(dst, &ask, Some(Duration::from_secs(2))) {
+            Ok(r) if r.src() != host.uadd() => {
+                failed.push(format!("{seed:#x}: answered by {}", r.src()));
+            }
+            Ok(r) => {
+                let a: Answer = r.decode().unwrap();
+                assert_eq!((a.n, a.body.len()), (1, ask.body.len()), "seed {seed:#x}");
+            }
+            Err(e) => failed.push(format!("{seed:#x}: {e}")),
+        }
+        host.stop();
+    }
+    assert!(
+        failed.is_empty(),
+        "{} of {} seeds lost the first request after the move: {failed:?}",
+        failed.len(),
+        seeds.len()
+    );
+}
+
+#[test]
+fn first_request_after_a_move_is_answered_over_direct_tcp() {
+    first_request_after_a_move_is_answered(false);
+}
+
+#[test]
+fn first_request_after_a_move_is_answered_across_two_gateways() {
+    first_request_after_a_move_is_answered(true);
 }
