@@ -587,11 +587,11 @@ impl ComMod {
         Self::check_dst(dst)?;
         // Untraced, so no hop is reported; `sent` records the monitor event.
         let ts = self.stamp();
-        let received =
-            self.nucleus
-                .request_with(dst, msg, TraceId::NULL, timeout, |msg_id, report| {
-                    self.sent(dst, REQUEST, TraceId::NULL, ts, msg_id.as_ref(), report);
-                })?;
+        let received = self
+            .nucleus
+            .request_with(dst, msg, timeout, |msg_id, report| {
+                self.sent(dst, REQUEST, TraceId::NULL, ts, msg_id.as_ref(), report);
+            })?;
         Ok(self.delivered(received))
     }
 

@@ -807,28 +807,27 @@ impl Nucleus {
     /// arrives — its peer relocated or died, or a gateway tore the splice
     /// down (§4.3) — the request is re-issued under the same msg id
     /// through the §3.5 send loop (forwarding table, address fault,
-    /// forwarding query, reconnect), at most `max_relocations` times. A
-    /// request that reached the old incarnation before it closed may so
-    /// run twice: like any [`Delivery::Send`], a request is not protected
-    /// against duplicates.
+    /// forwarding query, reconnect), at most `max_relocations` times, each
+    /// within what is left of `timeout`. A request that reached the old
+    /// incarnation before it closed may so run twice: like any
+    /// [`Delivery::Send`], a request is not protected against duplicates.
     ///
     /// # Errors
     ///
     /// Send errors (of the first send or of a re-issue), or
-    /// [`NtcsError::Timeout`] if no reply arrives.
+    /// [`NtcsError::Timeout`] if no reply arrives in time.
     pub fn request<M: Message>(
         &self,
         dst: UAdd,
         msg: &M,
         timeout: Option<Duration>,
     ) -> Result<Received> {
-        self.request_with(dst, msg, TraceId::NULL, timeout, |_, _| {})
+        self.request_with(dst, msg, timeout, |_, _| {})
     }
 
-    /// [`Nucleus::request`] under the causal trace id `trace`, calling
-    /// `on_sent` once the first send is over — with the request's msg id if
-    /// it went out — and before the wait for the reply begins (the ALI
-    /// reports its hops and monitor events there).
+    /// [`Nucleus::request`], calling `on_sent` once the first send is over
+    /// — with the request's msg id if it went out — and before the wait
+    /// for the reply begins (the ALI records its monitor event there).
     ///
     /// # Errors
     ///
@@ -837,7 +836,6 @@ impl Nucleus {
         &self,
         dst: UAdd,
         msg: &M,
-        trace: TraceId,
         timeout: Option<Duration>,
         on_sent: impl FnOnce(Option<u64>, &SendReport),
     ) -> Result<Received> {
@@ -848,7 +846,7 @@ impl Nucleus {
             delivery: Delivery::Send {
                 reply_expected: true,
             },
-            trace: trace.raw(),
+            trace: 0,
             span: 0,
             type_id: M::TYPE_ID,
             encode: &encode,
@@ -867,24 +865,44 @@ impl Nucleus {
             if let Some(m) = self.take_queued(|m| m.reply_to == msg_id) {
                 return Ok(m);
             }
-            if carrier.lvc.is_closed() && reissues < self.inner.config.max_relocations {
-                // The reader queues the close behind every frame the
-                // circuit carried: re-issue only once the close has been
-                // dispatched, so a reply that beat it is taken, not
-                // duplicated.
-                if !self.inner.state.lock().conns.contains_key(&carrier.conn_id) {
-                    reissues += 1;
-                    self.note_reissue(dst, msg_id, reissues);
-                    let leg = FrameSpec {
-                        span: spec.span + report.address_faults + reissues,
-                        ..spec
-                    };
-                    carrier = self.deliver_after(dst, leg, Some(carrier.peer), &mut report)?;
-                    continue;
-                }
+            if reissues < self.inner.config.max_relocations
+                && self.lost_with_circuit(&carrier, msg_id)
+            {
+                // The first send ran under the send path's own budgets,
+                // like any send; a re-issue runs inside the caller's wait,
+                // so it gets only what is left of `timeout`.
+                remaining(deadline)?;
+                reissues += 1;
+                self.note_reissue(dst, msg_id, reissues);
+                let leg = FrameSpec {
+                    span: spec.span + report.address_faults + reissues,
+                    ..spec
+                };
+                let closed = Some(carrier.peer);
+                carrier = self.deliver_after(dst, leg, closed, deadline, &mut report)?;
+                continue;
             }
             self.pump_once(remaining(deadline)?)?;
         }
+    }
+
+    /// Whether the request `msg_id`, sent on `carrier`, went down with it:
+    /// the circuit's close has been dispatched and no reply is queued.
+    ///
+    /// The reader queues the close behind every frame the circuit carried,
+    /// but another thread pumping the same Nucleus may still be inside the
+    /// dispatch of such a frame when the close is dispatched. Both facts
+    /// are therefore read under the one state lock under which a frame is
+    /// queued: a data frame is queued only while its circuit is still in
+    /// `conns`, so a reply dispatched before the close is seen here, and
+    /// one dispatched after it is dropped — it can never surface beside
+    /// the re-issue's reply.
+    fn lost_with_circuit(&self, carrier: &Carrier, msg_id: u64) -> bool {
+        if !carrier.lvc.is_closed() {
+            return false;
+        }
+        let st = self.inner.state.lock();
+        !st.conns.contains_key(&carrier.conn_id) && !st.inbox.iter().any(|m| m.reply_to == msg_id)
     }
 
     /// Counts and records one request re-issue (see [`Nucleus::request`]).
@@ -979,15 +997,6 @@ impl Nucleus {
     /// [`NtcsError::ShutDown`] after shutdown.
     pub fn recv_of_type(&self, type_id: u32, timeout: Option<Duration>) -> Result<Received> {
         self.take(|m| m.payload.type_id == type_id, timeout)
-    }
-
-    /// Waits for the reply to a previously sent message id.
-    ///
-    /// # Errors
-    ///
-    /// [`NtcsError::Timeout`] if no reply arrives in time.
-    pub fn wait_reply(&self, msg_id: u64, timeout: Option<Duration>) -> Result<Received> {
-        self.take(|m| m.reply_to == msg_id, timeout)
     }
 
     /// The one inbox take: removes the first message matching `pred`,
@@ -1187,7 +1196,7 @@ impl Nucleus {
     pub fn ping(&self, dst: UAdd, timeout: Option<Duration>) -> Result<Duration> {
         let started = Instant::now();
         let msg_id = self.next_msg_id();
-        let (conn_id, _) = self.ensure_conn(dst, false)?;
+        let (conn_id, _) = self.ensure_conn(dst, false, None)?;
         {
             let st = self.inner.state.lock();
             let e = st.conns.get(&conn_id).ok_or(NtcsError::ConnectionClosed)?;
@@ -1223,19 +1232,22 @@ impl Nucleus {
     /// forwarding address and trying again, up to `max_relocations` times.
     /// Hands back the circuit the frame went out on.
     fn deliver(&self, dst: UAdd, spec: FrameSpec<'_>, report: &mut SendReport) -> Result<Carrier> {
-        self.deliver_after(dst, spec, None, report)
+        self.deliver_after(dst, spec, None, None, report)
     }
 
-    /// [`Nucleus::deliver`] for a message whose previous copy went out to
-    /// `closed` on a circuit that has closed since: if `dst` still leads
-    /// there, that close is the address fault (§3.5), met before any
-    /// send, so the old address is never dialled again when the naming
-    /// service knows its replacement.
+    /// [`Nucleus::deliver`] for a request re-issued because the circuit
+    /// that carried its previous copy to `closed` has closed since. If
+    /// `dst` still leads there, that close is the address fault (§3.5),
+    /// met before any send: the old address is not dialled again, which
+    /// would meet the fault only after the open's retry schedule had
+    /// waited out its refusals. No attempt starts after `deadline`, and
+    /// no circuit open waits past it ([`NtcsError::Timeout`]).
     fn deliver_after(
         &self,
         dst: UAdd,
         spec: FrameSpec<'_>,
         mut closed: Option<UAdd>,
+        deadline: Option<Instant>,
         report: &mut SendReport,
     ) -> Result<Carrier> {
         if self.is_shut_down() {
@@ -1256,6 +1268,9 @@ impl Nucleus {
         let mut attempts = 0;
         let mut fault_started_us: Option<i64> = None;
         loop {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(NtcsError::Timeout);
+            }
             let target = self.resolve_forwarded(dst)?;
             // Supervisor gate: an open breaker fails fast instead of
             // queueing behind a peer known to be down.
@@ -1267,7 +1282,7 @@ impl Nucleus {
             let sent = if closed.take() == Some(target) {
                 Err(NtcsError::ConnectionClosed)
             } else {
-                self.try_send_once(target, leg, report)
+                self.try_send_once(target, leg, deadline, report)
             };
             match sent {
                 Ok(carrier) => {
@@ -1416,9 +1431,10 @@ impl Nucleus {
         &self,
         target: UAdd,
         spec: FrameSpec<'_>,
+        deadline: Option<Instant>,
         report: &mut SendReport,
     ) -> Result<Carrier> {
-        let (conn_id, handoff) = self.ensure_conn(target, spec.connectionless())?;
+        let (conn_id, handoff) = self.ensure_conn(target, spec.connectionless(), deadline)?;
         report.handoff |= handoff;
         let (lvc, mode, wire_peer, flow) = {
             let st = self.inner.state.lock();
@@ -1626,7 +1642,13 @@ impl Nucleus {
     /// circuit, while anything stronger forces a connection-oriented
     /// substrate. A reliable send arriving on a UDP-bound circuit closes it
     /// and re-opens on a substrate that can carry the stronger class.
-    fn ensure_conn(&self, target: UAdd, datagram: bool) -> Result<(u64, bool)> {
+    /// An open waits no longer than `deadline`.
+    fn ensure_conn(
+        &self,
+        target: UAdd,
+        datagram: bool,
+        deadline: Option<Instant>,
+    ) -> Result<(u64, bool)> {
         let mut upgrade = None;
         {
             let mut st = self.inner.state.lock();
@@ -1662,7 +1684,7 @@ impl Nucleus {
             return Err(NtcsError::UnknownAddress(target.raw()));
         }
         let resolved = self.resolve_module(target)?;
-        self.open_circuit(&resolved, datagram)
+        self.open_circuit(&resolved, datagram, deadline)
     }
 
     /// UAdd → location info: local cache / well-known table first, then the
@@ -1836,7 +1858,12 @@ impl Nucleus {
     /// network, otherwise a chained circuit through the gateway route
     /// obtained from the naming service (§4.2). Returns the conn id and
     /// whether the open was a substrate handoff.
-    fn open_circuit(&self, resolved: &ResolvedModule, datagram: bool) -> Result<(u64, bool)> {
+    fn open_circuit(
+        &self,
+        resolved: &ResolvedModule,
+        datagram: bool,
+        deadline: Option<Instant>,
+    ) -> Result<(u64, bool)> {
         let my_nets = self.inner.nd.networks();
         let direct = self.ranked_direct_addrs(resolved, datagram);
         if !direct.is_empty() {
@@ -1849,7 +1876,8 @@ impl Nucleus {
             let mut last = NtcsError::ConnectRefused("no substrate candidate".into());
             for (i, addr) in direct.into_iter().enumerate() {
                 let quick = i + 1 < count;
-                match self.open_circuit_at(resolved, &addr, OpenPayload::direct(), quick) {
+                let payload = OpenPayload::direct();
+                match self.open_circuit_at(resolved, &addr, payload, quick, deadline) {
                     Ok(conn_id) => {
                         let handoff = self.note_substrate_choice(resolved.uadd, &addr);
                         return Ok((conn_id, handoff));
@@ -1923,7 +1951,7 @@ impl Nucleus {
                     },
                 )
             };
-        let conn_id = self.open_circuit_at(resolved, &first_addr, payload, false)?;
+        let conn_id = self.open_circuit_at(resolved, &first_addr, payload, false, deadline)?;
         Ok((conn_id, false))
     }
 
@@ -1931,13 +1959,15 @@ impl Nucleus {
     /// `first_addr`, sends the `LvcOpen`, registers the provisional
     /// [`ConnEntry`], and pumps until the ack. `quick` dials with a single
     /// attempt (the candidate-probing mode of the substrate-selection
-    /// loop); otherwise the full retry policy supervises the open.
+    /// loop); otherwise the full retry policy supervises the open. Neither
+    /// the retries nor the wait for the ack outlast `deadline`.
     fn open_circuit_at(
         &self,
         resolved: &ResolvedModule,
         first_addr: &PhysAddr,
         payload: OpenPayload,
         quick: bool,
+        deadline: Option<Instant>,
     ) -> Result<u64> {
         let establish_started_us = self.inner.clock.now_us();
         self.inner.trace.record(
@@ -1949,29 +1979,34 @@ impl Nucleus {
         self.inner
             .metrics
             .bump(&self.inner.metrics.nd_open_attempts);
+        let bounded;
+        let retry = match deadline {
+            Some(d) => {
+                let left = d.saturating_duration_since(Instant::now());
+                let policy = &self.inner.config.retry;
+                bounded = policy.clone().with_deadline(policy.deadline.min(left));
+                &bounded
+            }
+            None => &self.inner.config.retry,
+        };
         let lvc = if quick {
             self.inner.nd.open(first_addr, 0)?
         } else {
-            self.inner
-                .nd
-                .open_with_policy(first_addr, &self.inner.config.retry, |n, e| {
-                    self.inner.metrics.bump(&self.inner.metrics.retry_attempts);
-                    self.inner.recorder.record(
-                        event_kind::RETRY,
-                        resolved.uadd.raw(),
-                        0,
-                        u64::from(n),
-                    );
-                    self.inner
-                        .metrics
-                        .bump(&self.inner.metrics.nd_open_attempts);
-                    self.inner.trace.record(
-                        self.inner.gauge.depth(),
-                        Layer::Nd,
-                        "retry",
-                        format!("open {first_addr} retry {n}: {e}"),
-                    );
-                })?
+            self.inner.nd.open_with_policy(first_addr, retry, |n, e| {
+                self.inner.metrics.bump(&self.inner.metrics.retry_attempts);
+                self.inner
+                    .recorder
+                    .record(event_kind::RETRY, resolved.uadd.raw(), 0, u64::from(n));
+                self.inner
+                    .metrics
+                    .bump(&self.inner.metrics.nd_open_attempts);
+                self.inner.trace.record(
+                    self.inner.gauge.depth(),
+                    Layer::Nd,
+                    "retry",
+                    format!("open {first_addr} retry {n}: {e}"),
+                );
+            })?
         };
 
         let mut h = FrameHeader::new(
@@ -2012,7 +2047,8 @@ impl Nucleus {
 
         // Pump until the ack arrives (the passive Nucleus keeps working on
         // the caller's stack while waiting).
-        let deadline = Instant::now() + self.inner.config.open_timeout;
+        let open_deadline = Instant::now() + self.inner.config.open_timeout;
+        let deadline = deadline.map_or(open_deadline, |d| d.min(open_deadline));
         loop {
             {
                 let st = self.inner.state.lock();
@@ -2659,16 +2695,19 @@ mod tests {
             .statics()
             .preload(us, server.nd().phys_addrs(), MachineType::Sun);
 
-        send_msg(
-            &client,
-            us,
-            &Greeting {
-                text: "from tadd".into(),
-                n: 1,
-            },
-            true,
-        )
-        .unwrap();
+        let asker = {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                client.request(
+                    us,
+                    &Greeting {
+                        text: "from tadd".into(),
+                        n: 1,
+                    },
+                    T,
+                )
+            })
+        };
         let m = server.recv(T).unwrap();
         // The server keyed the client by a *local* alias TAdd.
         assert!(m.src.is_temporary());
@@ -2683,7 +2722,8 @@ mod tests {
                 },
             )
             .unwrap();
-        let got = client.wait_reply(m.msg_id, T).unwrap();
+        let got = asker.join().unwrap().unwrap();
+        assert_eq!(got.reply_to, m.msg_id);
         let a: Answer = got.payload.decode(client.machine_type()).unwrap();
         assert!(a.ok);
     }
@@ -2877,6 +2917,121 @@ mod tests {
         assert_eq!(reply.src, ub2);
         assert_eq!(reply.reply_to, held.msg_id);
         assert_eq!(p.a.metrics().snapshot().request_reissues, 1);
+    }
+
+    /// Sends a request from `r.a` to `r.b` the way [`Nucleus::request`]
+    /// does, handing back its msg id and the circuit it went out on.
+    fn send_request(r: &Rig) -> (u64, Carrier) {
+        let g = Greeting::default();
+        let encode = |mode, machine| ntcs_wire::encode_payload(&g, mode, machine);
+        let spec = FrameSpec {
+            msg_id: r.a.next_msg_id(),
+            reply_to: 0,
+            delivery: Delivery::Send {
+                reply_expected: true,
+            },
+            trace: 0,
+            span: 0,
+            type_id: Greeting::TYPE_ID,
+            encode: &encode,
+        };
+        let carrier = r.a.deliver(r.ub, spec, &mut SendReport::default());
+        (spec.msg_id, carrier.unwrap())
+    }
+
+    #[test]
+    fn a_reply_dispatched_before_the_close_is_not_reissued() {
+        // The server answers and hangs up at once. A thread other than the
+        // waiter may dispatch both the reply and the close between two
+        // passes of the waiter's loop: the request must then count as
+        // answered, never as lost with its circuit.
+        let r = rig(NetKind::Mbx, MachineType::Vax, MachineType::Sun);
+        let (msg_id, carrier) = send_request(&r);
+        let m = r.b.recv(T).unwrap();
+        r.b.reply_message(&m, &Answer::default()).unwrap();
+        r.b.mark_conn_closed(m.conn_id);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while r.a.inner.state.lock().conns.contains_key(&carrier.conn_id) {
+            assert!(Instant::now() < deadline, "the close was never dispatched");
+            r.a.pump_once(Some(Duration::from_millis(10))).unwrap();
+        }
+        assert!(!r.a.lost_with_circuit(&carrier, msg_id), "reply is queued");
+        assert!(r.a.take_queued(|m| m.reply_to == msg_id).is_some());
+        // Had no reply come, the request would have gone down with it.
+        assert!(r.a.lost_with_circuit(&carrier, msg_id));
+    }
+
+    #[test]
+    fn a_second_pumping_thread_leaves_no_stray_reply() {
+        // The server closes each circuit right after its reply, while a
+        // second thread keeps pumping the caller's Nucleus. Every request
+        // is answered in its one call, and no reply is left over for the
+        // application: a re-issue happens only for a reply that was lost.
+        let r = rig(NetKind::Mbx, MachineType::Vax, MachineType::Sun);
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let (b, stop) = (r.b.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    if let Ok(m) = b.recv(Some(Duration::from_millis(10))) {
+                        let _ = b.reply_message(&m, &Answer::default());
+                        b.mark_conn_closed(m.conn_id);
+                    }
+                }
+            })
+        };
+        let pumper = {
+            let (a, stop) = (r.a.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = a.recv_of_type(u32::MAX, Some(Duration::from_millis(1)));
+                }
+            })
+        };
+        for n in 0..40 {
+            let g = Greeting {
+                text: String::new(),
+                n,
+            };
+            let reply = r.a.request(r.ub, &g, T).unwrap();
+            assert_eq!(reply.src, r.ub);
+        }
+        // A stray reply would trail the request whose re-issue caused it.
+        std::thread::sleep(Duration::from_millis(100));
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+        pumper.join().unwrap();
+        let _ = r.a.recv_of_type(u32::MAX, Some(Duration::from_millis(10)));
+        let st = r.a.inner.state.lock();
+        assert!(st.inbox.iter().all(|m| m.reply_to == 0), "stray reply");
+    }
+
+    #[test]
+    fn a_reissue_to_an_unreachable_peer_keeps_the_callers_timeout() {
+        // The request reaches the server, then the network starts losing
+        // every frame and the circuit closes. The re-issue's open gets no
+        // ack; it must give up when the caller's time runs out, not after
+        // the open timeout.
+        let r = rig(NetKind::Mbx, MachineType::Vax, MachineType::Sun);
+        let net = r.world.networks()[0].id;
+        let a = r.a.clone();
+        let ub = r.ub;
+        let timeout = Duration::from_millis(500);
+        let asker = std::thread::spawn(move || {
+            let began = Instant::now();
+            let res = a.request(ub, &Greeting::default(), Some(timeout));
+            (res, began.elapsed())
+        });
+        let m = r.b.recv(T).unwrap();
+        r.world.set_drop_permille(net, 1000).unwrap();
+        r.b.mark_conn_closed(m.conn_id);
+        let (res, took) = asker.join().unwrap();
+        assert!(res.is_err(), "no reply can arrive");
+        assert!(
+            took < timeout + Duration::from_millis(300),
+            "returned after {took:?}, past its {timeout:?} timeout"
+        );
+        assert_eq!(r.a.metrics().snapshot().request_reissues, 1);
     }
 
     #[test]

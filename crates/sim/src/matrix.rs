@@ -265,9 +265,6 @@ pub fn expected(fault: Fault, layer: MatrixLayer) -> &'static [Verdict] {
         // A full ring with a dead reader must surface the typed stall
         // (`FlowStalled`) — never a hang, never silent loss.
         (Fault::WedgedShmRing, _) => &[CleanlyErrored],
-        // A request whose circuit dies under it is re-issued to the new
-        // incarnation inside the caller's one call: answered, never lost.
-        (Fault::SendRacesRelocation, _) => &[Recovered],
         _ => &[Recovered],
     }
 }
