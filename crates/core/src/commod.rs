@@ -23,8 +23,8 @@ use ntcs_addr::{
 use ntcs_ipcs::World;
 use ntcs_naming::{NspLayer, ShardMap};
 use ntcs_nucleus::obs::{
-    event_kind, hop_kind, render_module_snapshot_json, render_module_table, HopRecord,
-    ModuleReport, ObsQuery, ObsReply, ReportSource, TraceId,
+    hop_kind, render_module_snapshot_json, render_module_table, HopRecord, ModuleReport, ObsEvent,
+    ObsQuery, ObsReply, ReportSource, TraceId,
 };
 use ntcs_nucleus::{
     Delivery, Nucleus, NucleusConfig, NucleusMetricsSnapshot, Received, SendOpts, SendReport,
@@ -720,12 +720,10 @@ impl ComMod {
         // old binding read the live circuits' gauges, not the abandoned
         // ones' (their dead credit windows would otherwise be reported
         // until the registry was rebuilt).
-        new.nucleus.recorder().record(
-            event_kind::RELOCATION,
-            old_uadd.raw(),
-            0,
-            u64::from(machine.0),
-        );
+        new.nucleus.emit(ObsEvent::Relocation {
+            old: old_uadd,
+            machine: machine.0,
+        });
         *self.report_slot.write() = new.nucleus.clone();
         let new = ComMod {
             report_slot: Arc::clone(&self.report_slot),

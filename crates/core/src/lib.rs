@@ -76,10 +76,9 @@ pub use ntcs_naming::{NameServer, NspLayer};
 pub use ntcs_nucleus::{
     cluster_snapshot_json, dump_snapshot, event_kind, hop_kind, json_escape,
     render_module_snapshot_json, render_module_table, BreakerConfig, CircuitHealth, DeadLetter,
-    FlightRecorder, FlowPolicy, FlowSettings, GaugeSampler, GaugeSource, Histogram,
-    HistogramSnapshot, HopRecord, Lane, Layer, LayerTrace, MetricsRegistry, ModuleReport, Nucleus,
-    NucleusConfig, NucleusMetricsSnapshot, ObsCollect, ObsCollectReply, ObsQuery, ObsReply,
-    RecordedEvent, RecorderSettings, RetryPolicy, SubstrateBinding, SubstrateSettings, TraceEvent,
-    TraceId, TraceQuery, TraceReply, CONTROL_TYPE_MAX,
+    FlightRecorder, FlowPolicy, FlowSettings, Histogram, HistogramSnapshot, HopRecord, Lane, Layer,
+    LayerTrace, MetricsRegistry, ModuleReport, Nucleus, NucleusConfig, NucleusMetricsSnapshot,
+    ObsCollect, ObsCollectReply, ObsQuery, ObsReply, RecordedEvent, RetryPolicy, SubstrateBinding,
+    SubstrateSettings, TraceEvent, TraceId, TraceQuery, TraceReply, CONTROL_TYPE_MAX,
 };
 pub use ntcs_wire::{ntcs_message, ConvMode, InboundPayload, Message, Packable};

@@ -10,13 +10,12 @@
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ntcs_addr::{MachineId, MachineType, NetworkId, NtcsError, PhysAddr, Result, UAdd};
 use ntcs_gateway::Gateway;
 use ntcs_ipcs::{NetKind, World};
 use ntcs_naming::{NameServer, NameServerConfig, ShardMap};
-use ntcs_nucleus::{FlowSettings, GaugeSampler, GaugeSource, MetricsRegistry, NucleusConfig};
+use ntcs_nucleus::{FlowSettings, MetricsRegistry, NucleusConfig};
 use parking_lot::RwLock;
 
 use crate::commod::ComMod;
@@ -518,50 +517,6 @@ impl Testbed {
     #[must_use]
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// Spawns a periodic [`GaugeSampler`] over the world-level gauges
-    /// (BufferPool occupancy, MBX link backlog) and registers its report
-    /// source, so the registry exposes *sampled* substrate trajectories
-    /// alongside the modules' live reports. The caller owns the sampler;
-    /// dropping it stops the thread (the registry entry then reports the
-    /// final sample).
-    #[must_use]
-    pub fn spawn_world_gauge_sampler(&self, interval: Duration) -> GaugeSampler {
-        let pool_world = self.world.clone();
-        let backlog_world = self.world.clone();
-        let peak_world = self.world.clone();
-        let sources: Vec<(&'static str, GaugeSource)> = vec![
-            (
-                "sampled_pool_free_buffers",
-                Box::new(move || pool_world.buffer_pool().free_buffers() as u64),
-            ),
-            (
-                "sampled_mbx_backlog_bytes",
-                Box::new(move || {
-                    backlog_world
-                        .mbx_link_backlogs()
-                        .iter()
-                        .map(|(_, q, _)| q)
-                        .sum()
-                }),
-            ),
-            (
-                "sampled_mbx_backlog_peak_bytes",
-                Box::new(move || {
-                    peak_world
-                        .mbx_link_backlogs()
-                        .iter()
-                        .map(|(_, _, p)| *p)
-                        .max()
-                        .unwrap_or(0)
-                }),
-            ),
-        ];
-        let sampler = GaugeSampler::spawn(interval, sources);
-        self.registry
-            .register(sampler.report_source("world-sampled"));
-        sampler
     }
 
     /// Renders the whole deployment's live observability state in the

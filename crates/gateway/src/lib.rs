@@ -44,8 +44,8 @@ use ntcs_addr::{AttrSet, MachineId, NetworkId, NtcsError, PhysAddr, Result, UAdd
 use ntcs_ipcs::World;
 use ntcs_naming::NspLayer;
 use ntcs_nucleus::obs::{
-    event_kind, hop_kind, render_module_snapshot_json, render_module_table, HopRecord,
-    ModuleReport, ObsQuery, ObsReply, ReportSource,
+    hop_kind, render_module_snapshot_json, render_module_table, HopRecord, ModuleReport, ObsEvent,
+    ObsQuery, ObsReply, ReportSource,
 };
 use ntcs_nucleus::proto::OpenPayload;
 use ntcs_nucleus::{GatewayHandler, Lvc, Nucleus, NucleusConfig};
@@ -107,18 +107,12 @@ impl GatewayHandler for Splicer {
         // networks; the gateway itself never sees network-dependent issues
         // (§4.1) — it just asks its ND-Layer to dial the next hop, under the
         // same supervised retry policy every other layer uses.
-        let metrics = self.nucleus.metrics();
+        let addr = &next_addr;
         let dial =
             self.nucleus
                 .nd()
-                .open_with_policy(&next_addr, &self.nucleus.config().retry, |n, e| {
-                    metrics.bump(&metrics.retry_attempts);
-                    self.nucleus.trace().record(
-                        self.nucleus.gauge().depth(),
-                        ntcs_nucleus::Layer::Nd,
-                        "retry",
-                        format!("splice hop {next_addr} retry {n}: {e}"),
-                    );
+                .open_with_policy(addr, &self.nucleus.config().retry, |n, error| {
+                    self.nucleus.emit(ObsEvent::SpliceRetry { addr, n, error });
                 });
         let next = match dial {
             Ok(l) => l,
@@ -139,14 +133,11 @@ impl GatewayHandler for Splicer {
         self.metrics
             .circuits_spliced
             .fetch_add(1, Ordering::Relaxed);
-        // aux carries the splice's final destination, so a snapshot names
-        // both ends of the transit circuit.
-        self.nucleus.recorder().record(
-            event_kind::CIRCUIT_OPEN,
-            open.header.src.raw(),
-            open.header.msg_id,
-            open.header.dst.raw(),
-        );
+        self.nucleus.emit(ObsEvent::Splice {
+            src: open.header.src,
+            msg_id: open.header.msg_id,
+            dst: open.header.dst,
+        });
         // Only the open frame's header is visible to a gateway (relays are
         // raw pass-through), so the splice hop reports against the trace id
         // stamped on the open by the originating LCM.
@@ -178,12 +169,11 @@ impl GatewayHandler for Splicer {
 impl Splicer {
     fn refuse(&self, lvc: &Lvc, open: &Frame, cause: NtcsError) {
         self.metrics.refusals.fetch_add(1, Ordering::Relaxed);
-        self.nucleus.recorder().record(
-            event_kind::SHED,
-            open.header.src.raw(),
-            open.header.msg_id,
-            u64::from(cause.wire_code()),
-        );
+        self.nucleus.emit(ObsEvent::SpliceRefused {
+            src: open.header.src,
+            msg_id: open.header.msg_id,
+            error: &cause,
+        });
         let mut h = FrameHeader::new(
             FrameType::IvcAbort,
             self.nucleus.my_uadd(),
@@ -207,10 +197,10 @@ fn spawn_relay(from: Lvc, to: Lvc, metrics: Arc<GatewayMetrics>, nucleus: Nucleu
                         // capacity — the hop-by-hop backpressure path: a
                         // stalled relay stops reading upstream, which fills
                         // *that* link, and so on back to the origin.
-                        let len = block.len() as u64;
+                        let bytes = block.len() as u64;
                         if to.send_raw(block).is_err() {
                             metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                            nucleus.recorder().record(event_kind::DROP, 0, 0, len);
+                            nucleus.emit(ObsEvent::RelayDrop { bytes });
                             break;
                         }
                         metrics.frames_relayed.fetch_add(1, Ordering::Relaxed);
@@ -229,9 +219,9 @@ fn spawn_relay(from: Lvc, to: Lvc, metrics: Arc<GatewayMetrics>, nucleus: Nucleu
             from.close();
             to.close();
             metrics.teardowns.fetch_add(1, Ordering::Relaxed);
-            nucleus
-                .recorder()
-                .record(event_kind::CIRCUIT_CLOSE, 0, 0, 0);
+            nucleus.emit(ObsEvent::CircuitClose {
+                peer: UAdd::from_raw(0),
+            });
         })
         .expect("spawn relay");
 }
@@ -464,6 +454,7 @@ mod tests {
     use ntcs_addr::{AttrQuery, MachineType};
     use ntcs_ipcs::NetKind;
     use ntcs_naming::{NameServer, NameServerConfig};
+    use ntcs_nucleus::obs::event_kind;
     use ntcs_nucleus::{Delivery, SendOpts};
     use ntcs_wire::ntcs_message;
 

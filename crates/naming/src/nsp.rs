@@ -16,7 +16,7 @@ use ntcs_addr::{
     UAdd,
 };
 use ntcs_nucleus::proto::Hop;
-use ntcs_nucleus::{event_kind, Layer, NameResolver, Nucleus, ResolvedModule, RouteInfo};
+use ntcs_nucleus::{NameResolver, Nucleus, ObsEvent, ResolvedModule, RouteInfo};
 use ntcs_wire::Message;
 
 use crate::cache::{NameCache, ShardMap};
@@ -114,11 +114,10 @@ impl NspLayer {
                 } else {
                     nucleus.statics().invalidate(uadd);
                 }
-                let metrics = nucleus.metrics();
-                metrics.bump(&metrics.ns_invalidations);
-                nucleus
-                    .recorder()
-                    .record(event_kind::CACHE_INVALIDATE, uadd.raw(), 0, 1);
+                nucleus.emit(ObsEvent::CacheInvalidate {
+                    peer: uadd,
+                    pushed: true,
+                });
             }),
         );
     }
@@ -153,17 +152,8 @@ impl NspLayer {
     /// re-sweeps until its attempt or deadline budget runs out.
     fn rpc<Req: Message, Rep: Message>(&self, shard: usize, req: &Req) -> Result<Rep> {
         let policy = self.nucleus.config().ns_retry.clone();
-        let metrics = self.nucleus.metrics();
         policy.run(
-            |n, e| {
-                metrics.bump(&metrics.retry_attempts);
-                self.nucleus.trace().record(
-                    self.nucleus.gauge().depth(),
-                    Layer::Nsp,
-                    "ns-retry",
-                    format!("shard {shard} replica sweep {n} failed: {e}"),
-                );
-            },
+            |n, error| self.nucleus.emit(ObsEvent::NsRetry { shard, n, error }),
             |_| self.sweep(self.shards.group(shard), req),
         )
     }

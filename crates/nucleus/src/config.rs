@@ -78,10 +78,12 @@ pub struct NucleusConfig {
     /// sheds the oldest entry and counts `flow_sheds` rather than
     /// growing without limit.
     pub inbox_cap: usize,
-    /// Flight-recorder tuning (ring-buffer capacity and hot-path
-    /// sampling). On by default: the recorder is the always-available
-    /// post-mortem, and its hot-path cost is bounded by sampling.
-    pub recorder: RecorderSettings,
+    /// Whether the flight recorder captures events. On by default: the
+    /// recorder is the always-available post-mortem, and its hot-path cost
+    /// is bounded by sampling (ring size and sampling rate are
+    /// [`crate::obs::RECORDER_CAPACITY`] and
+    /// [`crate::obs::RECORDER_HOT_SAMPLE_SHIFT`]).
+    pub recorder: bool,
     /// Resolver-side name-cache tuning: TTL leases on UAdd → location
     /// entries, consulted before any NSP round trip. On by default — lease
     /// expiry (not cache absence) is what bounds staleness.
@@ -148,32 +150,6 @@ impl Default for NameCacheSettings {
     }
 }
 
-/// Flight-recorder tuning: the per-module event ring buffer that backs
-/// snapshots and crash dumps.
-#[derive(Debug, Clone, Copy)]
-pub struct RecorderSettings {
-    /// Whether the recorder captures events at all. Disabling it turns
-    /// every `record` call into a single relaxed load.
-    pub enabled: bool,
-    /// Ring-buffer capacity in events. Older events are overwritten once
-    /// the ring wraps; memory use is fixed at bind time.
-    pub capacity: usize,
-    /// Hot-path event kinds (sends, deliveries, credit grants) keep
-    /// 1-in-2^shift events; failure kinds are always kept.
-    /// `0` records everything.
-    pub hot_sample_shift: u32,
-}
-
-impl Default for RecorderSettings {
-    fn default() -> Self {
-        RecorderSettings {
-            enabled: true,
-            capacity: 1024,
-            hot_sample_shift: 2,
-        }
-    }
-}
-
 impl NucleusConfig {
     /// A sensible default configuration for a module on `machine`.
     #[must_use]
@@ -228,7 +204,7 @@ impl NucleusConfig {
             dedupe_window: 4096,
             flow: FlowSettings::disabled(),
             inbox_cap: 8192,
-            recorder: RecorderSettings::default(),
+            recorder: true,
             name_cache: NameCacheSettings::default(),
             substrate: SubstrateSettings::default(),
         }
@@ -329,23 +305,7 @@ impl NucleusConfig {
     /// hook — snapshots then carry no events).
     #[must_use]
     pub fn without_recorder(mut self) -> Self {
-        self.recorder.enabled = false;
-        self
-    }
-
-    /// Replaces the flight-recorder ring capacity (builder style).
-    #[must_use]
-    pub fn with_recorder_capacity(mut self, events: usize) -> Self {
-        self.recorder.enabled = true;
-        self.recorder.capacity = events.max(1);
-        self
-    }
-
-    /// Replaces the hot-path sampling shift: hot event kinds keep
-    /// 1-in-2^`shift` events (builder style). `0` records everything.
-    #[must_use]
-    pub fn with_recorder_sampling(mut self, shift: u32) -> Self {
-        self.recorder.hot_sample_shift = shift;
+        self.recorder = false;
         self
     }
 
@@ -402,8 +362,7 @@ mod tests {
         assert!(c.dedupe_window >= 64, "dedupe window must be useful");
         assert!(!c.flow.enabled, "flow control must be opt-in");
         assert!(c.inbox_cap >= 64, "inbox must hold a useful backlog");
-        assert!(c.recorder.enabled, "flight recorder must be on by default");
-        assert!(c.recorder.capacity >= 64, "ring must hold a useful tail");
+        assert!(c.recorder, "flight recorder must be on by default");
         assert!(c.name_cache.enabled, "name cache must be on by default");
         assert!(
             c.name_cache.negative_ttl < c.name_cache.ttl,
@@ -422,14 +381,12 @@ mod tests {
     }
 
     #[test]
-    fn recorder_builders_compose() {
-        let c = NucleusConfig::new(MachineId(0), "m")
-            .with_recorder_capacity(256)
-            .with_recorder_sampling(0);
-        assert!(c.recorder.enabled);
-        assert_eq!(c.recorder.capacity, 256);
-        assert_eq!(c.recorder.hot_sample_shift, 0);
-        assert!(!c.without_recorder().recorder.enabled);
+    fn recorder_switches_off() {
+        assert!(
+            !NucleusConfig::new(MachineId(0), "m")
+                .without_recorder()
+                .recorder
+        );
     }
 
     #[test]

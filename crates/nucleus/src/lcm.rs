@@ -38,15 +38,13 @@ use parking_lot::{Mutex, RwLock};
 use crate::config::NucleusConfig;
 use crate::metrics::NucleusMetrics;
 use crate::nd::{Lvc, NdLayer, SubstrateBinding};
-use crate::obs::{
-    event_kind, FlightRecorder, ModuleReport, NucleusHistograms, TraceId, TraceIdGen,
-};
+use crate::obs::{FlightRecorder, ModuleReport, ObsEvent, Sinks, TraceId, TraceIdGen};
 use crate::proto::OpenPayload;
 use crate::resolver::{LeaseProbe, NameResolver, ResolvedModule, StaticResolver};
 use crate::supervisor::{
     BreakerRegistry, CircuitHealth, DeadLetter, DeadLetterSink, RetransmissionQueue,
 };
-use crate::trace::{Layer, LayerTrace, RecursionGauge};
+use crate::trace::{LayerTrace, RecursionGauge};
 
 /// The delivery class of one [`Nucleus::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,14 +307,12 @@ struct Inner {
     state: Mutex<LcmState>,
     events_tx: Sender<Event>,
     events_rx: Receiver<Event>,
-    trace: LayerTrace,
     gauge: RecursionGauge,
-    metrics: NucleusMetrics,
-    /// The machine's virtual clock, for histogram timings and header
-    /// timestamps (deterministic under the simulated world).
-    clock: SimClock,
-    /// Latency histograms (send→deliver, circuit, NS lookup, recovery).
-    hists: NucleusHistograms,
+    /// Counters, histograms, flight recorder and layer trace, fed only
+    /// through [`Nucleus::emit`], and the machine's virtual clock they
+    /// and the frame headers read (deterministic under the simulated
+    /// world).
+    obs: Sinks,
     /// Deterministic generator for causal trace ids.
     trace_ids: TraceIdGen,
     /// Per-peer circuit breakers (delivery supervisor).
@@ -325,9 +321,6 @@ struct Inner {
     retx: RetransmissionQueue,
     /// Sink receiving reliable messages whose recovery is exhausted.
     dead_letter: RwLock<Option<DeadLetterSink>>,
-    /// The always-on flight recorder (ring of structured events; reads the
-    /// injected clock so same-seed runs record identical streams).
-    recorder: Arc<FlightRecorder>,
     shutdown: AtomicBool,
 }
 
@@ -380,23 +373,12 @@ impl Nucleus {
         for b in config.module_hint.bytes() {
             trace_seed = trace_seed.wrapping_mul(0x100_0000_01B3) ^ u64::from(b);
         }
-        let recorder = Arc::new(FlightRecorder::new(
-            clock.clone(),
-            if config.recorder.enabled {
-                config.recorder.capacity
-            } else {
-                0
-            },
-            config.recorder.hot_sample_shift,
-        ));
         let inner = Arc::new(Inner {
             gauge: RecursionGauge::new(config.max_recursion_depth),
             breakers: BreakerRegistry::new(config.breaker.clone(), clock.clone()),
             retx: RetransmissionQueue::new(config.retransmit_queue_cap),
             dead_letter: RwLock::new(None),
-            recorder,
-            clock,
-            hists: NucleusHistograms::new(),
+            obs: Sinks::new(clock, config.recorder),
             trace_ids: TraceIdGen::new(trace_seed),
             config,
             nd,
@@ -411,8 +393,6 @@ impl Nucleus {
             state: Mutex::new(LcmState::new(inbox_cap)),
             events_tx,
             events_rx,
-            trace: LayerTrace::default(),
-            metrics: NucleusMetrics::new(),
             shutdown: AtomicBool::new(false),
         });
         *inner.my_uadd.write() = inner.tadds.generate();
@@ -496,7 +476,7 @@ impl Nucleus {
     /// (the timebase every lease expiry is measured on).
     #[must_use]
     pub fn now_us(&self) -> u64 {
-        self.inner.clock.now_us().max(0) as u64
+        self.inner.obs.clock.now_us().max(0) as u64
     }
 
     /// Installs the dead-letter sink: invoked with each reliable message
@@ -552,19 +532,13 @@ impl Nucleus {
     /// Nucleus metrics.
     #[must_use]
     pub fn metrics(&self) -> &NucleusMetrics {
-        &self.inner.metrics
-    }
-
-    /// The latency histograms maintained by this Nucleus.
-    #[must_use]
-    pub fn histograms(&self) -> &NucleusHistograms {
-        &self.inner.hists
+        &self.inner.obs.metrics
     }
 
     /// This machine's virtual clock (corrected µs).
     #[must_use]
     pub fn clock(&self) -> &SimClock {
-        &self.inner.clock
+        &self.inner.obs.clock
     }
 
     /// A fresh causal trace id for an application send (unique per module,
@@ -583,7 +557,14 @@ impl Nucleus {
     /// This module's flight recorder (structured event ring).
     #[must_use]
     pub fn recorder(&self) -> &FlightRecorder {
-        &self.inner.recorder
+        &self.inner.obs.recorder
+    }
+
+    /// Emits one observed occurrence into this Nucleus's counters,
+    /// histograms, flight recorder and layer trace — the one
+    /// instrumentation call of every site (see [`ObsEvent`]).
+    pub fn emit(&self, ev: ObsEvent<'_>) {
+        self.inner.obs.emit(&self.inner.gauge, ev);
     }
 
     /// Failure-path crash dump: when `NTCS_OBS_DUMP` is set, writes this
@@ -604,8 +585,9 @@ impl Nucleus {
     /// aggregates.
     #[must_use]
     pub fn module_report(&self) -> ModuleReport {
-        let mut counters = self.inner.metrics.snapshot().counters();
-        counters.push(("recorder_lost", self.inner.recorder.lost()));
+        let obs = &self.inner.obs;
+        let mut counters = obs.metrics.snapshot().counters();
+        counters.push(("recorder_lost", obs.recorder.lost()));
         let (forwarding_entries, credits_available, inbox_depth) = {
             let st = self.inner.state.lock();
             let credits: u64 = st
@@ -625,7 +607,7 @@ impl Nucleus {
                 ("flow_credits_available", credits_available),
                 ("inbox_depth", inbox_depth),
             ],
-            histograms: self.inner.hists.snapshots(),
+            histograms: obs.hists.snapshots(),
             breakers: self
                 .inner
                 .breakers
@@ -633,7 +615,7 @@ impl Nucleus {
                 .into_iter()
                 .map(|(peer, health)| (format!("{peer}"), health))
                 .collect(),
-            events: self.inner.recorder.events(),
+            events: obs.recorder.events(),
         }
     }
 
@@ -647,7 +629,7 @@ impl Nucleus {
     /// The layer trace (§6.2 debugging aid).
     #[must_use]
     pub fn trace(&self) -> &LayerTrace {
-        &self.inner.trace
+        &self.inner.obs.trace
     }
 
     /// The recursion gauge.
@@ -873,7 +855,8 @@ impl Nucleus {
                 // so it gets only what is left of `timeout`.
                 remaining(deadline)?;
                 reissues += 1;
-                self.note_reissue(dst, msg_id, reissues);
+                let n = reissues;
+                self.emit(ObsEvent::Reissue { dst, msg_id, n });
                 let leg = FrameSpec {
                     span: spec.span + report.address_faults + reissues,
                     ..spec
@@ -903,22 +886,6 @@ impl Nucleus {
         }
         let st = self.inner.state.lock();
         !st.conns.contains_key(&carrier.conn_id) && !st.inbox.iter().any(|m| m.reply_to == msg_id)
-    }
-
-    /// Counts and records one request re-issue (see [`Nucleus::request`]).
-    fn note_reissue(&self, dst: UAdd, msg_id: u64, n: u32) {
-        self.inner
-            .metrics
-            .bump(&self.inner.metrics.request_reissues);
-        self.inner
-            .recorder
-            .record(event_kind::RETRY, dst.raw(), msg_id, u64::from(n));
-        self.inner.trace.record(
-            self.inner.gauge.depth(),
-            Layer::Lcm,
-            "reissue",
-            format!("{dst} msg {msg_id}: circuit closed before the reply (re-issue {n})"),
-        );
     }
 
     /// Replies to a received message, preferring the circuit it arrived on
@@ -959,11 +926,9 @@ impl Nucleus {
                 .send_frame(&self.data_frame(mode, wire_peer, &spec))
                 .is_ok()
             {
-                self.inner.metrics.bump(&self.inner.metrics.sends);
-                self.inner
-                    .recorder
-                    .record(event_kind::SEND, peer.raw(), spec.msg_id, 0);
-                return Ok(spec.msg_id);
+                let msg_id = spec.msg_id;
+                self.emit(ObsEvent::Sent { peer, msg_id });
+                return Ok(msg_id);
             }
             // Fall through to the address-based send.
         }
@@ -1038,7 +1003,7 @@ impl Nucleus {
             });
             (m, circuit)
         };
-        self.inner.metrics.bump(&self.inner.metrics.recvs);
+        self.emit(ObsEvent::Recv);
         if let Some((lvc, wire_peer, flow)) = circuit {
             if m.reliable {
                 send_reliable_ack(&self.inner, &lvc, wire_peer, m.msg_id);
@@ -1087,16 +1052,13 @@ impl Nucleus {
                 return Err(self.dead_letter(dst, msg_id, spec.type_id, attempts, e));
             }
             if attempts > 0 {
-                self.inner.metrics.bump(&self.inner.metrics.retransmissions);
-                self.inner.metrics.bump(&self.inner.metrics.retry_attempts);
-                if spec.trace != 0 {
-                    self.inner.trace.record(
-                        self.inner.gauge.depth(),
-                        Layer::Lcm,
-                        "retransmit",
-                        format!("{dst} msg {msg_id} attempt {}", attempts + 1),
-                    );
-                }
+                let (attempt, trace) = (attempts + 1, spec.trace);
+                self.emit(ObsEvent::Retransmit {
+                    dst,
+                    msg_id,
+                    attempt,
+                    trace,
+                });
             }
             let attempt = FrameSpec {
                 span: attempts,
@@ -1137,22 +1099,19 @@ impl Nucleus {
         if self.is_shut_down() {
             return Err(NtcsError::ShutDown);
         }
-        self.inner.metrics.bump(&self.inner.metrics.casts);
+        self.emit(ObsEvent::Cast);
         match self.deliver(dst, spec, report) {
             Err(e @ (NtcsError::InvalidArgument(_) | NtcsError::ShutDown)) => Err(e),
             Err(_) => {
-                self.inner
-                    .metrics
-                    .bump(&self.inner.metrics.dropped_messages);
+                self.emit(ObsEvent::CastDropped);
                 Ok(())
             }
             Ok(_) => Ok(()),
         }
     }
 
-    /// Records a reliable message whose recovery is exhausted: bumps the
-    /// counter, traces, invokes the sink, and returns the error to
-    /// propagate.
+    /// Records a reliable message whose recovery is exhausted: emits it,
+    /// invokes the sink, and returns the error to propagate.
     fn dead_letter(
         &self,
         dst: UAdd,
@@ -1161,19 +1120,12 @@ impl Nucleus {
         attempts: u32,
         error: NtcsError,
     ) -> NtcsError {
-        self.inner.metrics.bump(&self.inner.metrics.dead_letters);
-        self.inner.recorder.record(
-            event_kind::DEAD_LETTER,
-            dst.raw(),
+        self.emit(ObsEvent::DeadLetter {
+            dst,
             msg_id,
-            u64::from(attempts),
-        );
-        self.inner.trace.record(
-            self.inner.gauge.depth(),
-            Layer::Lcm,
-            "dead-letter",
-            format!("{dst} msg {msg_id} after {attempts} attempts: {error}"),
-        );
+            attempts,
+            error: &error,
+        });
         self.maybe_dump_snapshot("dead-letter");
         let letter = DeadLetter {
             dst,
@@ -1196,7 +1148,7 @@ impl Nucleus {
     pub fn ping(&self, dst: UAdd, timeout: Option<Duration>) -> Result<Duration> {
         let started = Instant::now();
         let msg_id = self.next_msg_id();
-        let (conn_id, _) = self.ensure_conn(dst, false, None)?;
+        let (conn_id, _) = self.ensure_conn(dst, false, 0, None)?;
         {
             let st = self.inner.state.lock();
             let e = st.conns.get(&conn_id).ok_or(NtcsError::ConnectionClosed)?;
@@ -1254,19 +1206,10 @@ impl Nucleus {
             return Err(NtcsError::ShutDown);
         }
         let _scope = self.inner.gauge.enter()?;
-        if spec.trace != 0 {
-            // Stamp the local ring: every layer event until the send
-            // completes belongs to this journey.
-            self.inner.trace.set_current_trace(spec.trace);
-        }
-        self.inner.trace.record(
-            self.inner.gauge.depth(),
-            Layer::Lcm,
-            "send",
-            format!("→ {dst} (msg {})", spec.msg_id),
-        );
+        let (msg_id, trace) = (spec.msg_id, spec.trace);
+        self.emit(ObsEvent::Send { dst, msg_id, trace });
         let mut attempts = 0;
-        let mut fault_started_us: Option<i64> = None;
+        let mut fault_at_us: Option<i64> = None;
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(NtcsError::Timeout);
@@ -1286,53 +1229,32 @@ impl Nucleus {
             };
             match sent {
                 Ok(carrier) => {
-                    if self.inner.breakers.record_success(target) {
-                        self.inner
-                            .metrics
-                            .bump(&self.inner.metrics.breaker_recoveries);
-                        self.inner
-                            .recorder
-                            .record(event_kind::BREAKER, target.raw(), 0, 0);
-                        self.inner.trace.record(
-                            self.inner.gauge.depth(),
-                            Layer::Lcm,
-                            "breaker-recover",
-                            format!("{target} healthy again"),
-                        );
+                    let peer = target;
+                    if self.inner.breakers.record_success(peer) {
+                        self.emit(ObsEvent::BreakerRecover { peer });
                     }
-                    if attempts > 0 {
-                        self.inner.metrics.bump(&self.inner.metrics.reconnects);
-                        if let Some(started) = fault_started_us {
-                            // §3.5 recovery complete: fault detected →
-                            // data flowing on the re-established circuit.
-                            self.inner
-                                .hists
-                                .fault_recovery_us
-                                .record_us(self.inner.clock.now_us() - started);
-                        }
-                        self.inner.trace.record(
-                            self.inner.gauge.depth(),
-                            Layer::Lcm,
-                            "reconnect",
-                            format!("{target} reachable again after {attempts} fault(s)"),
-                        );
+                    // Only an address fault sets the start, so this is a
+                    // reconnect exactly when `attempts > 0`.
+                    if let Some(fault_at_us) = fault_at_us {
+                        let faults = attempts;
+                        self.emit(ObsEvent::Reconnect {
+                            peer,
+                            faults,
+                            fault_at_us,
+                            trace,
+                        });
                     }
-                    self.inner.metrics.bump(&self.inner.metrics.sends);
-                    self.inner
-                        .recorder
-                        .record(event_kind::SEND, target.raw(), spec.msg_id, 0);
+                    self.emit(ObsEvent::Sent { peer, msg_id });
                     return Ok(carrier);
                 }
                 Err(e) if e.is_relocation_candidate() && !spec.connectionless() => {
-                    self.inner.metrics.bump(&self.inner.metrics.address_faults);
                     report.address_faults += 1;
-                    fault_started_us.get_or_insert_with(|| self.inner.clock.now_us());
-                    self.inner.trace.record(
-                        self.inner.gauge.depth(),
-                        Layer::Lcm,
-                        "address-fault",
-                        format!("{target}: {e}"),
-                    );
+                    fault_at_us.get_or_insert_with(|| self.inner.obs.clock.now_us());
+                    self.emit(ObsEvent::AddressFault {
+                        peer: target,
+                        error: &e,
+                        trace,
+                    });
                     attempts += 1;
                     if attempts > self.inner.config.max_relocations {
                         // The breaker counts failed *operations*, not the
@@ -1353,20 +1275,11 @@ impl Nucleus {
         }
     }
 
-    /// Registers a delivery failure with the peer's breaker, bumping the
-    /// trip counter and trace when this one tripped it open.
-    fn record_breaker_failure(&self, target: UAdd) {
-        if self.inner.breakers.record_failure(target) {
-            self.inner.metrics.bump(&self.inner.metrics.breaker_trips);
-            self.inner
-                .recorder
-                .record(event_kind::BREAKER, target.raw(), 0, 2);
-            self.inner.trace.record(
-                self.inner.gauge.depth(),
-                Layer::Lcm,
-                "breaker-trip",
-                format!("circuit to {target} broken"),
-            );
+    /// Registers a delivery failure with the peer's breaker, emitting the
+    /// trip when this one tripped it open.
+    fn record_breaker_failure(&self, peer: UAdd) {
+        if self.inner.breakers.record_failure(peer) {
+            self.emit(ObsEvent::BreakerTrip { peer });
         }
     }
 
@@ -1423,7 +1336,7 @@ impl Nucleus {
         h.aux = spec.type_id;
         h.trace_id = spec.trace;
         h.span = spec.span;
-        h.sent_at_us = self.inner.clock.now_us();
+        h.sent_at_us = self.inner.obs.clock.now_us();
         Frame::new(h, payload)
     }
 
@@ -1434,7 +1347,8 @@ impl Nucleus {
         deadline: Option<Instant>,
         report: &mut SendReport,
     ) -> Result<Carrier> {
-        let (conn_id, handoff) = self.ensure_conn(target, spec.connectionless(), deadline)?;
+        let (conn_id, handoff) =
+            self.ensure_conn(target, spec.connectionless(), spec.trace, deadline)?;
         report.handoff |= handoff;
         let (lvc, mode, wire_peer, flow) = {
             let st = self.inner.state.lock();
@@ -1492,20 +1406,14 @@ impl Nucleus {
         if flow.window.try_acquire(need) {
             return Ok(());
         }
-        self.inner.metrics.bump(&self.inner.metrics.flow_stalls);
         report.credit_stalls += 1;
-        let msg_id = spec.msg_id;
-        self.inner
-            .recorder
-            .record(event_kind::CREDIT_STALL, target.raw(), msg_id, need as u64);
-        if spec.trace != 0 {
-            self.inner.trace.record(
-                self.inner.gauge.depth(),
-                Layer::Lcm,
-                "flow-stall",
-                format!("→ {target} msg {msg_id} awaiting credit ({need} B)"),
-            );
-        }
+        let (msg_id, trace, bytes) = (spec.msg_id, spec.trace, need as u64);
+        self.emit(ObsEvent::CreditStall {
+            peer: target,
+            msg_id,
+            bytes,
+            trace,
+        });
         let reliable = matches!(spec.delivery, Delivery::Reliable { .. });
         match self.inner.config.flow.policy {
             ntcs_flow::FlowPolicy::Block => {
@@ -1523,7 +1431,7 @@ impl Nucleus {
             }
             ntcs_flow::FlowPolicy::ShedNewest => {
                 if !reliable {
-                    self.inner.metrics.bump(&self.inner.metrics.flow_sheds);
+                    self.emit(ObsEvent::CreditShed);
                 }
                 Err(NtcsError::FlowStalled(target.raw()))
             }
@@ -1575,24 +1483,19 @@ impl Nucleus {
         let Some(resolver) = self.inner.resolver.read().clone() else {
             return Ok(());
         };
-        self.inner.metrics.bump(&self.inner.metrics.forward_queries);
-        self.inner.trace.record(
-            self.inner.gauge.depth(),
-            Layer::Nsp,
-            "forwarding-query",
-            format!("who replaces {target}? (fault: {cause})"),
-        );
+        self.emit(ObsEvent::ForwardingQuery {
+            peer: target,
+            cause,
+        });
         match resolver.forwarding(target) {
             Ok(new_uadd) => {
                 // The old address is dead for good; drop its cached location
                 // and route future sends to the replacement.
                 self.inner.statics.invalidate(target);
-                self.inner
-                    .metrics
-                    .bump(&self.inner.metrics.ns_invalidations);
-                self.inner
-                    .recorder
-                    .record(event_kind::CACHE_INVALIDATE, target.raw(), 0, 0);
+                self.emit(ObsEvent::CacheInvalidate {
+                    peer: target,
+                    pushed: false,
+                });
                 let mut st = self.inner.state.lock();
                 st.forwarding.insert(target, new_uadd);
                 // The substrate memory follows the peer to its new
@@ -1621,9 +1524,7 @@ impl Nucleus {
         let mut st = self.inner.state.lock();
         if let Some(e) = st.conns.remove(&conn_id) {
             e.lvc.close();
-            self.inner
-                .recorder
-                .record(event_kind::CIRCUIT_CLOSE, e.peer.raw(), 0, 0);
+            self.emit(ObsEvent::CircuitClose { peer: e.peer });
             if st.by_peer.get(&e.peer) == Some(&conn_id) {
                 st.by_peer.remove(&e.peer);
             }
@@ -1642,11 +1543,13 @@ impl Nucleus {
     /// circuit, while anything stronger forces a connection-oriented
     /// substrate. A reliable send arriving on a UDP-bound circuit closes it
     /// and re-opens on a substrate that can carry the stronger class.
-    /// An open waits no longer than `deadline`.
+    /// An open waits no longer than `deadline`, and carries `trace`, the
+    /// trace id of the send that needs it.
     fn ensure_conn(
         &self,
         target: UAdd,
         datagram: bool,
+        trace: u64,
         deadline: Option<Instant>,
     ) -> Result<(u64, bool)> {
         let mut upgrade = None;
@@ -1671,12 +1574,7 @@ impl Nucleus {
         if let Some(id) = upgrade {
             // Reliability-class upgrade: drain-then-switch off the
             // datagram circuit before the connection-oriented open.
-            self.inner.trace.record(
-                self.inner.gauge.depth(),
-                Layer::Lcm,
-                "substrate-upgrade",
-                format!("{target}: reliable send leaves the udp circuit"),
-            );
+            self.emit(ObsEvent::SubstrateUpgrade { peer: target });
             self.mark_conn_closed(id);
         }
         if target.is_temporary() {
@@ -1684,7 +1582,7 @@ impl Nucleus {
             return Err(NtcsError::UnknownAddress(target.raw()));
         }
         let resolved = self.resolve_module(target)?;
-        self.open_circuit(&resolved, datagram, deadline)
+        self.open_circuit(&resolved, datagram, trace, deadline)
     }
 
     /// UAdd → location info: local cache / well-known table first, then the
@@ -1704,26 +1602,24 @@ impl Nucleus {
             }
             return self.resolve_via_ns(target, None);
         }
+        let peer = target;
         match self.inner.statics.probe(target, self.now_us()) {
             LeaseProbe::Fresh(m) => {
-                self.inner.metrics.bump(&self.inner.metrics.ns_cache_hits);
-                self.inner
-                    .recorder
-                    .record(event_kind::CACHE_HIT, target.raw(), 0, 0);
+                self.emit(ObsEvent::CacheHit { peer });
                 Ok(m)
             }
             LeaseProbe::Stale(stale) => {
-                self.inner.metrics.bump(&self.inner.metrics.ns_cache_stale);
-                self.inner
-                    .recorder
-                    .record(event_kind::CACHE_MISS, target.raw(), 0, 1);
+                self.emit(ObsEvent::CacheMiss {
+                    peer,
+                    expired: true,
+                });
                 self.resolve_via_ns(target, Some(stale))
             }
             LeaseProbe::Miss => {
-                self.inner.metrics.bump(&self.inner.metrics.ns_cache_misses);
-                self.inner
-                    .recorder
-                    .record(event_kind::CACHE_MISS, target.raw(), 0, 0);
+                self.emit(ObsEvent::CacheMiss {
+                    peer,
+                    expired: false,
+                });
                 self.resolve_via_ns(target, None)
             }
         }
@@ -1741,20 +1637,11 @@ impl Nucleus {
             return stale.ok_or(NtcsError::UnknownAddress(target.raw()));
         };
         let _scope = self.inner.gauge.enter()?;
-        self.inner.metrics.bump(&self.inner.metrics.ns_lookups);
-        self.inner.trace.record(
-            self.inner.gauge.depth(),
-            Layer::Nsp,
-            "lookup",
-            format!("ND needs phys of {target}"),
-        );
-        let lookup_started_us = self.inner.clock.now_us();
+        self.emit(ObsEvent::Lookup { peer: target });
+        let started_us = self.inner.obs.clock.now_us();
         match resolver.lookup(target) {
             Ok(m) => {
-                self.inner
-                    .hists
-                    .ns_lookup_us
-                    .record_us(self.inner.clock.now_us() - lookup_started_us);
+                self.emit(ObsEvent::LookupDone { started_us });
                 let cache = self.inner.config.name_cache;
                 if cache.enabled {
                     let expires = self.now_us().saturating_add(cache.ttl.as_micros() as u64);
@@ -1808,50 +1695,25 @@ impl Nucleus {
         addrs
     }
 
-    /// Counts and records a substrate-selection decision, and detects the
-    /// relocation handoff: a re-selection for a peer (under its current or
-    /// forwarded UAdd) that lands on a different substrate kind. Returns
-    /// whether this choice was such a handoff.
+    /// Emits a substrate-selection decision, and detects the relocation
+    /// handoff: a re-selection for a peer (under its current or forwarded
+    /// UAdd) that lands on a different substrate kind. Returns whether
+    /// this choice was such a handoff.
     fn note_substrate_choice(&self, peer: UAdd, addr: &PhysAddr) -> bool {
-        let binding = SubstrateBinding::for_addr(addr);
-        self.inner
-            .metrics
-            .bump(&self.inner.metrics.substrate_selects);
-        self.inner.recorder.record(
-            event_kind::SUBSTRATE,
-            peer.raw(),
-            0,
-            u64::from(binding.code),
-        );
-        let prev = {
-            let mut st = self.inner.state.lock();
-            st.last_substrate.insert(peer, binding.code)
-        };
-        if let Some(old) = prev {
-            if old != binding.code {
-                self.inner
-                    .metrics
-                    .bump(&self.inner.metrics.substrate_handoffs);
-                self.inner.recorder.record(
-                    event_kind::SUBSTRATE,
-                    peer.raw(),
-                    0,
-                    u64::from(0x100 | (old << 4) | binding.code),
-                );
-                self.inner.trace.record(
-                    self.inner.gauge.depth(),
-                    Layer::Nd,
-                    "substrate-handoff",
-                    format!(
-                        "{peer}: {} → {}",
-                        SubstrateBinding::code_name(old),
-                        binding.name()
-                    ),
-                );
-                return true;
+        let code = SubstrateBinding::for_addr(addr).code;
+        self.emit(ObsEvent::SubstrateSelect { peer, code });
+        let prev = self.inner.state.lock().last_substrate.insert(peer, code);
+        match prev {
+            Some(old) if old != code => {
+                self.emit(ObsEvent::SubstrateHandoff {
+                    peer,
+                    old,
+                    new: code,
+                });
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// Establishes the IVC: a direct LVC when the destination shares a
@@ -1862,6 +1724,7 @@ impl Nucleus {
         &self,
         resolved: &ResolvedModule,
         datagram: bool,
+        trace: u64,
         deadline: Option<Instant>,
     ) -> Result<(u64, bool)> {
         let my_nets = self.inner.nd.networks();
@@ -1877,22 +1740,17 @@ impl Nucleus {
             for (i, addr) in direct.into_iter().enumerate() {
                 let quick = i + 1 < count;
                 let payload = OpenPayload::direct();
-                match self.open_circuit_at(resolved, &addr, payload, quick, deadline) {
+                match self.open_circuit_at(resolved, &addr, payload, quick, trace, deadline) {
                     Ok(conn_id) => {
                         let handoff = self.note_substrate_choice(resolved.uadd, &addr);
                         return Ok((conn_id, handoff));
                     }
                     Err(e) => {
                         if quick {
-                            self.inner
-                                .metrics
-                                .bump(&self.inner.metrics.substrate_fallbacks);
-                            self.inner.trace.record(
-                                self.inner.gauge.depth(),
-                                Layer::Nd,
-                                "substrate-fallback",
-                                format!("{addr}: {e}; trying next substrate"),
-                            );
+                            self.emit(ObsEvent::SubstrateFallback {
+                                addr: &addr,
+                                error: &e,
+                            });
                         }
                         last = e;
                     }
@@ -1928,13 +1786,7 @@ impl Nucleus {
                         to: resolved.addrs.first().map_or(u32::MAX, |a| a.network().0),
                     })?;
                 let _scope = self.inner.gauge.enter()?;
-                self.inner.metrics.bump(&self.inner.metrics.route_queries);
-                self.inner.trace.record(
-                    self.inner.gauge.depth(),
-                    Layer::Ip,
-                    "route-query",
-                    format!("destination {} is on a foreign network", resolved.uadd),
-                );
+                self.emit(ObsEvent::RouteQuery { dst: resolved.uadd });
                 let route = resolver.route(&my_nets, resolved.uadd)?;
                 if route.hops.is_empty() {
                     return Err(NtcsError::NoRoute {
@@ -1951,7 +1803,8 @@ impl Nucleus {
                     },
                 )
             };
-        let conn_id = self.open_circuit_at(resolved, &first_addr, payload, false, deadline)?;
+        let conn_id =
+            self.open_circuit_at(resolved, &first_addr, payload, false, trace, deadline)?;
         Ok((conn_id, false))
     }
 
@@ -1960,25 +1813,20 @@ impl Nucleus {
     /// [`ConnEntry`], and pumps until the ack. `quick` dials with a single
     /// attempt (the candidate-probing mode of the substrate-selection
     /// loop); otherwise the full retry policy supervises the open. Neither
-    /// the retries nor the wait for the ack outlast `deadline`.
+    /// the retries nor the wait for the ack outlast `deadline`. The open
+    /// frame carries `trace`.
     fn open_circuit_at(
         &self,
         resolved: &ResolvedModule,
         first_addr: &PhysAddr,
         payload: OpenPayload,
         quick: bool,
+        trace: u64,
         deadline: Option<Instant>,
     ) -> Result<u64> {
-        let establish_started_us = self.inner.clock.now_us();
-        self.inner.trace.record(
-            self.inner.gauge.depth(),
-            Layer::Nd,
-            "open",
-            format!("LVC to {first_addr}"),
-        );
-        self.inner
-            .metrics
-            .bump(&self.inner.metrics.nd_open_attempts);
+        let started_us = self.inner.obs.clock.now_us();
+        let (peer, addr) = (resolved.uadd, first_addr);
+        self.emit(ObsEvent::NdOpen { addr, trace });
         let bounded;
         let retry = match deadline {
             Some(d) => {
@@ -1992,21 +1840,16 @@ impl Nucleus {
         let lvc = if quick {
             self.inner.nd.open(first_addr, 0)?
         } else {
-            self.inner.nd.open_with_policy(first_addr, retry, |n, e| {
-                self.inner.metrics.bump(&self.inner.metrics.retry_attempts);
-                self.inner
-                    .recorder
-                    .record(event_kind::RETRY, resolved.uadd.raw(), 0, u64::from(n));
-                self.inner
-                    .metrics
-                    .bump(&self.inner.metrics.nd_open_attempts);
-                self.inner.trace.record(
-                    self.inner.gauge.depth(),
-                    Layer::Nd,
-                    "retry",
-                    format!("open {first_addr} retry {n}: {e}"),
-                );
-            })?
+            self.inner
+                .nd
+                .open_with_policy(first_addr, retry, |n, error| {
+                    self.emit(ObsEvent::NdRetry {
+                        peer,
+                        addr,
+                        n,
+                        error,
+                    });
+                })?
         };
 
         let mut h = FrameHeader::new(
@@ -2017,10 +1860,10 @@ impl Nucleus {
         );
         h.msg_id = self.next_msg_id();
         // The open frame is the only thing a transit gateway parses, so it
-        // carries the in-flight journey's trace id: the gateway reports its
-        // splice hop against it.
-        h.trace_id = self.inner.trace.current_trace();
-        h.sent_at_us = establish_started_us;
+        // carries the trace id of the send that needs the circuit: the
+        // gateway reports its splice hop against it.
+        h.trace_id = trace;
+        h.sent_at_us = started_us;
         let open = Frame::new(h, Bytes::from(payload.to_packed()));
         lvc.send_frame(&open)?;
 
@@ -2064,14 +1907,7 @@ impl Nucleus {
             }
             self.pump_once(Some(Duration::from_millis(10)))?;
         }
-        self.inner.metrics.bump(&self.inner.metrics.circuits_opened);
-        self.inner
-            .recorder
-            .record(event_kind::CIRCUIT_OPEN, resolved.uadd.raw(), 0, 1);
-        self.inner
-            .hists
-            .circuit_establish_us
-            .record_us(self.inner.clock.now_us() - establish_started_us);
+        self.emit(ObsEvent::CircuitOpen { peer, started_us });
         Ok(conn_id)
     }
 
@@ -2148,7 +1984,7 @@ impl Nucleus {
                     let id = e.id;
                     st.by_peer.remove(&old);
                     st.by_peer.insert(h.src, id);
-                    self.inner.metrics.bump(&self.inner.metrics.tadd_purges);
+                    self.emit(ObsEvent::TaddPurge);
                 }
                 let e = st.conns.get(&conn_id).expect("just updated");
                 let peer = e.peer;
@@ -2162,9 +1998,7 @@ impl Nucleus {
                     let key = (peer.raw(), h.msg_id);
                     if !st.seen_reliable.insert(key) {
                         deliver = false;
-                        self.inner
-                            .metrics
-                            .bump(&self.inner.metrics.duplicates_suppressed);
+                        self.emit(ObsEvent::DuplicateSuppressed);
                         send_reliable_ack(&self.inner, &arrival_lvc, h.src, h.msg_id);
                         // The retransmission debited the sender's window
                         // but will never be drained from the inbox —
@@ -2188,27 +2022,13 @@ impl Nucleus {
                     }
                 }
                 if deliver {
-                    self.inner
-                        .recorder
-                        .record(event_kind::DELIVER, peer.raw(), h.msg_id, 0);
-                    if h.sent_at_us != 0 {
-                        // Send→deliver latency on the receiver's corrected
-                        // clock; skew can make it negative, which the
-                        // histogram clamps to 0.
-                        self.inner
-                            .hists
-                            .send_to_deliver_us
-                            .record_us(self.inner.clock.now_us() - h.sent_at_us);
-                    }
-                    if h.trace_id != 0 {
-                        self.inner.trace.set_current_trace(h.trace_id);
-                        self.inner.trace.record(
-                            0,
-                            Layer::Lcm,
-                            "deliver",
-                            format!("from {peer} (msg {}, span {})", h.msg_id, h.span),
-                        );
-                    }
+                    self.emit(ObsEvent::Deliver {
+                        peer,
+                        msg_id: h.msg_id,
+                        span: h.span,
+                        sent_at_us: h.sent_at_us,
+                        trace: h.trace_id,
+                    });
                     let received = Received {
                         src: peer,
                         msg_id: h.msg_id,
@@ -2251,13 +2071,11 @@ impl Nucleus {
                         // than grow without bound, and credit its bytes
                         // back to the peer that sent it (it will never be
                         // drained by the application).
-                        self.inner.metrics.bump(&self.inner.metrics.flow_sheds);
-                        self.inner.recorder.record(
-                            event_kind::SHED,
-                            evicted.src.raw(),
-                            evicted.msg_id,
-                            st.inbox.len() as u64,
-                        );
+                        self.emit(ObsEvent::InboxShed {
+                            peer: evicted.src,
+                            msg_id: evicted.msg_id,
+                            depth: st.inbox.len() as u64,
+                        });
                         if Lane::classify(evicted.payload.type_id) == Lane::Bulk {
                             if let Some(src) = st.conns.get(&evicted.conn_id) {
                                 if let Some(flow) = &src.flow {
@@ -2300,12 +2118,10 @@ impl Nucleus {
                 if let Some(e) = st.conns.get(&conn_id) {
                     if let Some(flow) = &e.flow {
                         flow.window.replenish(h.msg_id, h.aux);
-                        self.inner.recorder.record(
-                            event_kind::CREDIT_GRANT,
-                            e.peer.raw(),
-                            0,
-                            h.msg_id,
-                        );
+                        self.emit(ObsEvent::CreditGrant {
+                            peer: e.peer,
+                            bytes: h.msg_id,
+                        });
                     }
                 }
             }
@@ -2365,28 +2181,27 @@ fn send_reliable_ack(inner: &Arc<Inner>, lvc: &Lvc, to: UAdd, acked_msg_id: u64)
 /// Reader thread: shuttles frames from one circuit into the event queue.
 /// Runs no protocol logic (the Nucleus stays passive).
 fn spawn_reader(inner: &Arc<Inner>, conn_id: u64, lvc: Lvc) {
-    let events = inner.events_tx.clone();
-    let shutdown_flag = Arc::clone(inner);
+    let inner = Arc::clone(inner);
     std::thread::Builder::new()
         .name("ntcs-reader".into())
-        .spawn(move || loop {
-            if shutdown_flag.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match lvc.recv_frame(Some(Duration::from_millis(500))) {
-                Ok(frame) => {
-                    if events.send(Event::Frame { conn_id, frame }).is_err() {
-                        return;
-                    }
-                }
-                Err(NtcsError::Timeout) => continue,
-                Err(_) => {
-                    let _ = events.send(Event::Closed { conn_id });
-                    return;
-                }
-            }
-        })
+        .spawn(move || read_frames(&inner, conn_id, &lvc))
         .expect("spawn reader");
+}
+
+/// The reader loop: queues each frame of the circuit until it closes
+/// (queued as `Closed`) or the Nucleus shuts down.
+fn read_frames(inner: &Inner, conn_id: u64, lvc: &Lvc) {
+    while !inner.shutdown.load(Ordering::SeqCst) {
+        let event = match lvc.recv_frame(Some(Duration::from_millis(500))) {
+            Ok(frame) => Event::Frame { conn_id, frame },
+            Err(NtcsError::Timeout) => continue,
+            Err(_) => Event::Closed { conn_id },
+        };
+        let closed = matches!(event, Event::Closed { .. });
+        if inner.events_tx.send(event).is_err() || closed {
+            return;
+        }
+    }
 }
 
 /// Greeter: handles the first frame of an inbound circuit (the open
@@ -2411,7 +2226,8 @@ fn greet_inbound(inner: &Arc<Inner>, lvc: Lvc) {
         // otherwise refuse.
         let handler = inner.gateway.read().clone();
         if let Some(h) = handler {
-            inner.trace.record(0, Layer::Ip, "transit", open.header.dst);
+            let dst = open.header.dst;
+            inner.obs.emit(&inner.gauge, ObsEvent::Transit { dst });
             h.transit(lvc, open);
         } else {
             let mut close = FrameHeader::new(
@@ -2455,16 +2271,11 @@ fn greet_inbound(inner: &Arc<Inner>, lvc: Lvc) {
         );
         st.by_peer.insert(peer_key, conn_id);
     }
-    inner.metrics.bump(&inner.metrics.circuits_accepted);
-    inner
-        .recorder
-        .record(event_kind::CIRCUIT_OPEN, peer_on_wire.raw(), 0, 0);
-    inner.trace.record(
-        0,
-        Layer::Nd,
-        "accept",
-        format!("from {peer_on_wire} as {peer_key}"),
-    );
+    let accept = ObsEvent::CircuitAccept {
+        wire_peer: peer_on_wire,
+        peer: peer_key,
+    };
+    inner.obs.emit(&inner.gauge, accept);
 
     let mut ack = FrameHeader::new(
         FrameType::LvcOpenAck,
@@ -2482,29 +2293,13 @@ fn greet_inbound(inner: &Arc<Inner>, lvc: Lvc) {
     }
 
     // Become the reader.
-    let events = inner.events_tx.clone();
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match lvc.recv_frame(Some(Duration::from_millis(500))) {
-            Ok(frame) => {
-                if events.send(Event::Frame { conn_id, frame }).is_err() {
-                    return;
-                }
-            }
-            Err(NtcsError::Timeout) => continue,
-            Err(_) => {
-                let _ = events.send(Event::Closed { conn_id });
-                return;
-            }
-        }
-    }
+    read_frames(inner, conn_id, &lvc);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::event_kind;
     use ntcs_addr::{MachineId, UAddGenerator};
     use ntcs_ipcs::NetKind;
     use ntcs_wire::ntcs_message;

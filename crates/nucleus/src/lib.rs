@@ -43,7 +43,7 @@ pub mod retry;
 pub mod supervisor;
 pub mod trace;
 
-pub use config::{NameCacheSettings, NucleusConfig, RecorderSettings, SubstrateSettings};
+pub use config::{NameCacheSettings, NucleusConfig, SubstrateSettings};
 pub use lcm::{
     ControlIntercept, Delivery, GatewayHandler, Nucleus, Received, SendOpts, SendReport,
 };
@@ -52,10 +52,10 @@ pub use nd::{Lvc, NdLayer, SubstrateBinding};
 pub use ntcs_flow::{FlowPolicy, FlowSettings, Lane, CONTROL_TYPE_MAX};
 pub use obs::{
     cluster_snapshot_json, dump_snapshot, event_kind, hop_kind, json_escape,
-    render_module_snapshot_json, render_module_table, FlightRecorder, GaugeSampler, GaugeSource,
-    Histogram, HistogramSnapshot, HopRecord, MetricsRegistry, ModuleReport, NucleusHistograms,
-    ObsCollect, ObsCollectReply, ObsQuery, ObsReply, RecordedEvent, ReportSource, TraceId,
-    TraceIdGen, TraceQuery, TraceReply, HISTOGRAM_BUCKETS,
+    render_module_snapshot_json, render_module_table, FlightRecorder, Histogram, HistogramSnapshot,
+    HopRecord, MetricsRegistry, ModuleReport, NucleusHistograms, ObsCollect, ObsCollectReply,
+    ObsEvent, ObsQuery, ObsReply, RecordedEvent, ReportSource, TraceId, TraceIdGen, TraceQuery,
+    TraceReply, HISTOGRAM_BUCKETS,
 };
 pub use proto::{Hop, OpenPayload};
 pub use resolver::{LeaseProbe, NameResolver, ResolvedModule, RouteInfo, StaticResolver};

@@ -18,18 +18,24 @@
 //! * [`MetricsRegistry`] — aggregates every module's counters, histograms,
 //!   and breaker states into one [`ModuleReport`] stream, rendered either
 //!   as Prometheus text-exposition format or a human table.
+//! * [`ObsEvent`] — every occurrence the Nucleus, the NSP-Layer and the
+//!   gateway observe, emitted once per site through [`Nucleus::emit`]. One
+//!   `match` here maps it to its counters, histogram sample, flight-recorder
+//!   slot and layer-trace line.
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
-use std::time::Duration;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use ntcs_addr::UAdd;
+use ntcs_addr::{NtcsError, PhysAddr, UAdd};
 use ntcs_ipcs::SimClock;
 use ntcs_wire::ntcs_message;
 
+use crate::metrics::NucleusMetrics;
+use crate::nd::SubstrateBinding;
 use crate::supervisor::CircuitHealth;
+use crate::trace::{Layer, LayerTrace, RecursionGauge, Why};
 use crate::Nucleus;
 
 /// A causal trace identifier: one per *application-level journey* of a
@@ -583,112 +589,443 @@ impl FlightRecorder {
     }
 }
 
-/// A callback producing one gauge sample, registered with a
-/// [`GaugeSampler`].
-pub type GaugeSource = Box<dyn Fn() -> u64 + Send + Sync>;
+/// Flight-recorder ring capacity of every Nucleus, in events.
+pub const RECORDER_CAPACITY: usize = 1024;
 
-struct SamplerInner {
-    stop: AtomicBool,
-    sources: Vec<(&'static str, GaugeSource)>,
-    latest: Mutex<Vec<(&'static str, u64)>>,
+/// Hot-path recorder kinds keep 1 in 2^this events (1 in 4).
+pub const RECORDER_HOT_SAMPLE_SHIFT: u32 = 2;
+
+/// One observed occurrence, emitted once at its site through
+/// [`Nucleus::emit`]. Per-message variants (`Send`, `Sent`, `Cast`,
+/// `Recv`, `Deliver`, `CreditGrant`) carry only `Copy` data; failure
+/// variants borrow their error, which is formatted only if the layer trace
+/// records the line. Peers are UAdds; `trace` is the causal trace id of
+/// the send the occurrence belongs to (0 = untraced).
+#[derive(Debug, Clone, Copy)]
+#[allow(missing_docs)]
+pub enum ObsEvent<'a> {
+    /// An LCM send toward `dst` begins (trace only).
+    Send { dst: UAdd, msg_id: u64, trace: u64 },
+    /// A data frame left on a circuit to `peer`.
+    Sent { peer: UAdd, msg_id: u64 },
+    /// A connectionless send was accepted.
+    Cast,
+    /// A connectionless send was lost in transport.
+    CastDropped,
+    /// The application took a message from the inbox.
+    Recv,
+    /// A data frame from `peer` entered the inbox; `sent_at_us` is the
+    /// sender's header timestamp (0 = none).
+    Deliver {
+        peer: UAdd,
+        msg_id: u64,
+        span: u32,
+        sent_at_us: i64,
+        trace: u64,
+    },
+    /// A credit grant of `bytes` from `peer` replenished a window.
+    CreditGrant { peer: UAdd, bytes: u64 },
+    /// A request was re-issued (the `n`th time) after its circuit closed.
+    Reissue { dst: UAdd, msg_id: u64, n: u32 },
+    /// A reliable send retransmitted (`attempt` counts from 1).
+    Retransmit {
+        dst: UAdd,
+        msg_id: u64,
+        attempt: u32,
+        trace: u64,
+    },
+    /// A reliable message went to the dead-letter sink.
+    DeadLetter {
+        dst: UAdd,
+        msg_id: u64,
+        attempts: u32,
+        error: &'a NtcsError,
+    },
+    /// The breaker toward `peer` closed again.
+    BreakerRecover { peer: UAdd },
+    /// The breaker toward `peer` tripped open.
+    BreakerTrip { peer: UAdd },
+    /// A send reached `peer` after `faults` address faults, the first at
+    /// `fault_at_us`.
+    Reconnect {
+        peer: UAdd,
+        faults: u32,
+        fault_at_us: i64,
+        trace: u64,
+    },
+    /// A send to `peer` met an address fault (§3.5).
+    AddressFault {
+        peer: UAdd,
+        error: &'a NtcsError,
+        trace: u64,
+    },
+    /// A send to `peer` found its credit window exhausted.
+    CreditStall {
+        peer: UAdd,
+        msg_id: u64,
+        bytes: u64,
+        trace: u64,
+    },
+    /// A send was shed on an exhausted window (`ShedNewest`).
+    CreditShed,
+    /// A full inbox shed its oldest message; `depth` is the inbox length.
+    InboxShed { peer: UAdd, msg_id: u64, depth: u64 },
+    /// The LCM asked the naming service who replaces `peer`.
+    ForwardingQuery { peer: UAdd, cause: &'a NtcsError },
+    /// A cached location of `peer` was dropped (`pushed` by a shard, or
+    /// local on a forwarding address).
+    CacheInvalidate { peer: UAdd, pushed: bool },
+    /// A circuit to `peer` closed (0 for a gateway splice).
+    CircuitClose { peer: UAdd },
+    /// A reliable send left a UDP circuit to `peer`.
+    SubstrateUpgrade { peer: UAdd },
+    /// A name-cache probe for `peer` was served from a live lease.
+    CacheHit { peer: UAdd },
+    /// A name-cache probe for `peer` went to the naming service.
+    CacheMiss { peer: UAdd, expired: bool },
+    /// A naming-service lookup of `peer` begins.
+    Lookup { peer: UAdd },
+    /// A naming-service lookup begun at `started_us` answered.
+    LookupDone { started_us: i64 },
+    /// An LVC open toward `peer` chose substrate `code`.
+    SubstrateSelect { peer: UAdd, code: u32 },
+    /// `peer` moved from substrate `old` to `new`.
+    SubstrateHandoff { peer: UAdd, old: u32, new: u32 },
+    /// A substrate candidate refused the dial; the next is tried.
+    SubstrateFallback {
+        addr: &'a PhysAddr,
+        error: &'a NtcsError,
+    },
+    /// The IP layer asked for a route to `dst`.
+    RouteQuery { dst: UAdd },
+    /// The ND layer opens an LVC to `addr`.
+    NdOpen { addr: &'a PhysAddr, trace: u64 },
+    /// The `n`th retry of an LVC open to `addr` for `peer`.
+    NdRetry {
+        peer: UAdd,
+        addr: &'a PhysAddr,
+        n: u32,
+        error: &'a NtcsError,
+    },
+    /// An outbound circuit to `peer`, begun at `started_us`, was acked.
+    CircuitOpen { peer: UAdd, started_us: i64 },
+    /// An inbound circuit from `wire_peer` was accepted as `peer`.
+    CircuitAccept { wire_peer: UAdd, peer: UAdd },
+    /// A TAdd alias was replaced by the sender's real UAdd (§3.4).
+    TaddPurge,
+    /// A duplicate reliable frame was suppressed.
+    DuplicateSuppressed,
+    /// An inbound open for `dst` went to the gateway handler.
+    Transit { dst: UAdd },
+    /// The `n`th retry of a gateway's dial of the next hop `addr`.
+    SpliceRetry {
+        addr: &'a PhysAddr,
+        n: u32,
+        error: &'a NtcsError,
+    },
+    /// A gateway spliced `src`'s circuit toward `dst`.
+    Splice { src: UAdd, msg_id: u64, dst: UAdd },
+    /// A gateway refused `src`'s transit open.
+    SpliceRefused {
+        src: UAdd,
+        msg_id: u64,
+        error: &'a NtcsError,
+    },
+    /// A gateway relay dropped `bytes` because the next hop was gone.
+    RelayDrop { bytes: u64 },
+    /// The `n`th re-sweep of naming shard `shard`'s replicas.
+    NsRetry {
+        shard: usize,
+        n: u32,
+        error: &'a NtcsError,
+    },
+    /// The module relocated away from `old` to machine `machine`.
+    Relocation { old: UAdd, machine: u32 },
 }
 
-impl SamplerInner {
-    fn sample(&self) {
-        let fresh: Vec<(&'static str, u64)> = self.sources.iter().map(|(n, f)| (*n, f())).collect();
-        *self.latest.lock().unwrap_or_else(|e| e.into_inner()) = fresh;
+/// One Nucleus's observability sinks — counters, histograms, flight
+/// recorder and layer trace — fed only through [`Sinks::emit`].
+pub(crate) struct Sinks {
+    pub(crate) metrics: NucleusMetrics,
+    pub(crate) hists: NucleusHistograms,
+    pub(crate) recorder: FlightRecorder,
+    pub(crate) trace: LayerTrace,
+    pub(crate) clock: SimClock,
+}
+
+impl Sinks {
+    /// Fresh sinks on `clock`; `recorder` off leaves the ring empty.
+    pub(crate) fn new(clock: SimClock, recorder: bool) -> Self {
+        let capacity = if recorder { RECORDER_CAPACITY } else { 0 };
+        Sinks {
+            metrics: NucleusMetrics::new(),
+            hists: NucleusHistograms::new(),
+            recorder: FlightRecorder::new(clock.clone(), capacity, RECORDER_HOT_SAMPLE_SHIFT),
+            trace: LayerTrace::default(),
+            clock,
+        }
     }
-}
 
-/// A periodic gauge sampler: polls registered closures on a fixed interval
-/// from a background thread and exposes the latest values as an ordinary
-/// [`ReportSource`], so slow-to-compute gauges (pool occupancy, MBX link
-/// backlog) feed the [`MetricsRegistry`] without blocking report readers.
-///
-/// Dropping the sampler stops the thread on its next tick.
-pub struct GaugeSampler {
-    inner: Arc<SamplerInner>,
-}
-
-impl fmt::Debug for GaugeSampler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GaugeSampler")
-            .field("sources", &self.inner.sources.len())
-            .finish()
+    fn record(&self, kind: u32, peer: UAdd, msg_id: u64, aux: u64) {
+        self.recorder.record(kind, peer.raw(), msg_id, aux);
     }
-}
 
-impl GaugeSampler {
-    /// Starts sampling `sources` every `interval`. The first sample is
-    /// taken synchronously so reports are populated immediately.
-    #[must_use]
-    pub fn spawn(interval: Duration, sources: Vec<(&'static str, GaugeSource)>) -> Self {
-        let inner = Arc::new(SamplerInner {
-            stop: AtomicBool::new(false),
-            sources,
-            latest: Mutex::new(Vec::new()),
-        });
-        inner.sample();
-        let weak: Weak<SamplerInner> = Arc::downgrade(&inner);
-        std::thread::Builder::new()
-            .name("obs-gauge-sampler".into())
-            .spawn(move || loop {
-                std::thread::park_timeout(interval);
-                let Some(inner) = weak.upgrade() else { return };
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
+    fn line(
+        &self,
+        depth: u32,
+        layer: Layer,
+        action: &'static str,
+        trace: u64,
+        why: impl FnOnce() -> String,
+    ) {
+        self.trace
+            .record(depth, layer, action, trace, || Why::Text(why()));
+    }
+
+    fn since(&self, hist: &Histogram, started_us: i64) {
+        hist.record_us(self.clock.now_us() - started_us);
+    }
+
+    /// The one mapping from an occurrence to its sinks. Trace lines sit at
+    /// the caller's recursion depth, except those recorded off the
+    /// caller's stack (deliveries, accepts, transits), which sit at 0.
+    pub(crate) fn emit(&self, gauge: &RecursionGauge, ev: ObsEvent<'_>) {
+        use event_kind as k;
+        use Layer::{Ip, Lcm, Nd, Nsp};
+        use ObsEvent as E;
+        let m = &self.metrics;
+        let d = || gauge.depth();
+        match ev {
+            E::Send { dst, msg_id, trace } => {
+                self.trace
+                    .record(d(), Lcm, "send", trace, || Why::Send { dst, msg_id });
+            }
+            E::Sent { peer, msg_id } => {
+                m.bump(&m.sends);
+                self.record(k::SEND, peer, msg_id, 0);
+            }
+            E::Cast => m.bump(&m.casts),
+            E::CastDropped => m.bump(&m.dropped_messages),
+            E::Recv => m.bump(&m.recvs),
+            E::Deliver {
+                peer,
+                msg_id,
+                span,
+                sent_at_us,
+                trace,
+            } => {
+                self.record(k::DELIVER, peer, msg_id, 0);
+                if sent_at_us != 0 {
+                    // On the receiver's corrected clock; skew can make it
+                    // negative, which the histogram clamps to 0.
+                    self.since(&self.hists.send_to_deliver_us, sent_at_us);
                 }
-                inner.sample();
-            })
-            .expect("spawn obs-gauge-sampler thread");
-        GaugeSampler { inner }
-    }
-
-    /// The most recent sample of every source.
-    #[must_use]
-    pub fn latest(&self) -> Vec<(&'static str, u64)> {
-        self.inner
-            .latest
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Re-samples every source immediately (test hook / pre-snapshot
-    /// freshness).
-    pub fn sample_now(&self) {
-        self.inner.sample();
-    }
-
-    /// A [`ReportSource`] exposing the latest samples as gauges under
-    /// `module`.
-    #[must_use]
-    pub fn report_source(&self, module: &str) -> ReportSource {
-        let inner = Arc::clone(&self.inner);
-        let module = module.to_string();
-        Box::new(move || ModuleReport {
-            module: module.clone(),
-            counters: Vec::new(),
-            gauges: inner
-                .latest
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
-            histograms: Vec::new(),
-            breakers: Vec::new(),
-            events: Vec::new(),
-        })
-    }
-
-    /// Stops the sampling thread at its next tick.
-    pub fn stop(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-    }
-}
-
-impl Drop for GaugeSampler {
-    fn drop(&mut self) {
-        self.stop();
+                if trace != 0 {
+                    self.trace
+                        .record(0, Lcm, "deliver", trace, || Why::Deliver {
+                            peer,
+                            msg_id,
+                            span,
+                        });
+                }
+            }
+            E::CreditGrant { peer, bytes } => self.record(k::CREDIT_GRANT, peer, 0, bytes),
+            E::Reissue { dst, msg_id, n } => {
+                m.bump(&m.request_reissues);
+                self.record(k::RETRY, dst, msg_id, n.into());
+                self.line(d(), Lcm, "reissue", 0, || {
+                    format!("{dst} msg {msg_id}: circuit closed before the reply (re-issue {n})")
+                });
+            }
+            E::Retransmit {
+                dst,
+                msg_id,
+                attempt,
+                trace,
+            } => {
+                m.bump(&m.retransmissions);
+                m.bump(&m.retry_attempts);
+                if trace != 0 {
+                    self.line(d(), Lcm, "retransmit", trace, || {
+                        format!("{dst} msg {msg_id} attempt {attempt}")
+                    });
+                }
+            }
+            E::DeadLetter {
+                dst,
+                msg_id,
+                attempts,
+                error,
+            } => {
+                m.bump(&m.dead_letters);
+                self.record(k::DEAD_LETTER, dst, msg_id, attempts.into());
+                self.line(d(), Lcm, "dead-letter", 0, || {
+                    format!("{dst} msg {msg_id} after {attempts} attempts: {error}")
+                });
+            }
+            E::BreakerRecover { peer } => {
+                m.bump(&m.breaker_recoveries);
+                self.record(k::BREAKER, peer, 0, 0);
+                self.line(d(), Lcm, "breaker-recover", 0, || {
+                    format!("{peer} healthy again")
+                });
+            }
+            E::BreakerTrip { peer } => {
+                m.bump(&m.breaker_trips);
+                self.record(k::BREAKER, peer, 0, 2);
+                self.line(d(), Lcm, "breaker-trip", 0, || {
+                    format!("circuit to {peer} broken")
+                });
+            }
+            E::Reconnect {
+                peer,
+                faults,
+                fault_at_us,
+                trace,
+            } => {
+                m.bump(&m.reconnects);
+                // §3.5 recovery: fault detected → data flowing again.
+                self.since(&self.hists.fault_recovery_us, fault_at_us);
+                self.line(d(), Lcm, "reconnect", trace, || {
+                    format!("{peer} reachable again after {faults} fault(s)")
+                });
+            }
+            E::AddressFault { peer, error, trace } => {
+                m.bump(&m.address_faults);
+                self.line(d(), Lcm, "address-fault", trace, || {
+                    format!("{peer}: {error}")
+                });
+            }
+            E::CreditStall {
+                peer,
+                msg_id,
+                bytes,
+                trace,
+            } => {
+                m.bump(&m.flow_stalls);
+                self.record(k::CREDIT_STALL, peer, msg_id, bytes);
+                if trace != 0 {
+                    self.line(d(), Lcm, "flow-stall", trace, || {
+                        format!("→ {peer} msg {msg_id} awaiting credit ({bytes} B)")
+                    });
+                }
+            }
+            E::CreditShed => m.bump(&m.flow_sheds),
+            E::InboxShed {
+                peer,
+                msg_id,
+                depth,
+            } => {
+                m.bump(&m.flow_sheds);
+                self.record(k::SHED, peer, msg_id, depth);
+            }
+            E::ForwardingQuery { peer, cause } => {
+                m.bump(&m.forward_queries);
+                self.line(d(), Nsp, "forwarding-query", 0, || {
+                    format!("who replaces {peer}? (fault: {cause})")
+                });
+            }
+            E::CacheInvalidate { peer, pushed } => {
+                m.bump(&m.ns_invalidations);
+                self.record(k::CACHE_INVALIDATE, peer, 0, pushed.into());
+            }
+            E::CircuitClose { peer } => self.record(k::CIRCUIT_CLOSE, peer, 0, 0),
+            E::SubstrateUpgrade { peer } => {
+                self.line(d(), Lcm, "substrate-upgrade", 0, || {
+                    format!("{peer}: reliable send leaves the udp circuit")
+                });
+            }
+            E::CacheHit { peer } => {
+                m.bump(&m.ns_cache_hits);
+                self.record(k::CACHE_HIT, peer, 0, 0);
+            }
+            E::CacheMiss { peer, expired } => {
+                m.bump(if expired {
+                    &m.ns_cache_stale
+                } else {
+                    &m.ns_cache_misses
+                });
+                self.record(k::CACHE_MISS, peer, 0, expired.into());
+            }
+            E::Lookup { peer } => {
+                m.bump(&m.ns_lookups);
+                self.line(d(), Nsp, "lookup", 0, || format!("ND needs phys of {peer}"));
+            }
+            E::LookupDone { started_us } => self.since(&self.hists.ns_lookup_us, started_us),
+            E::SubstrateSelect { peer, code } => {
+                m.bump(&m.substrate_selects);
+                self.record(k::SUBSTRATE, peer, 0, code.into());
+            }
+            E::SubstrateHandoff { peer, old, new } => {
+                m.bump(&m.substrate_handoffs);
+                self.record(k::SUBSTRATE, peer, 0, u64::from(0x100 | (old << 4) | new));
+                let name = SubstrateBinding::code_name;
+                self.line(d(), Nd, "substrate-handoff", 0, || {
+                    format!("{peer}: {} → {}", name(old), name(new))
+                });
+            }
+            E::SubstrateFallback { addr, error } => {
+                m.bump(&m.substrate_fallbacks);
+                self.line(d(), Nd, "substrate-fallback", 0, || {
+                    format!("{addr}: {error}; trying next substrate")
+                });
+            }
+            E::RouteQuery { dst } => {
+                m.bump(&m.route_queries);
+                self.line(d(), Ip, "route-query", 0, || {
+                    format!("destination {dst} is on a foreign network")
+                });
+            }
+            E::NdOpen { addr, trace } => {
+                self.line(d(), Nd, "open", trace, || format!("LVC to {addr}"));
+                m.bump(&m.nd_open_attempts);
+            }
+            E::NdRetry {
+                peer,
+                addr,
+                n,
+                error,
+            } => {
+                m.bump(&m.retry_attempts);
+                self.record(k::RETRY, peer, 0, n.into());
+                m.bump(&m.nd_open_attempts);
+                self.line(d(), Nd, "retry", 0, || {
+                    format!("open {addr} retry {n}: {error}")
+                });
+            }
+            E::CircuitOpen { peer, started_us } => {
+                m.bump(&m.circuits_opened);
+                self.record(k::CIRCUIT_OPEN, peer, 0, 1);
+                self.since(&self.hists.circuit_establish_us, started_us);
+            }
+            E::CircuitAccept { wire_peer, peer } => {
+                m.bump(&m.circuits_accepted);
+                self.record(k::CIRCUIT_OPEN, wire_peer, 0, 0);
+                self.line(0, Nd, "accept", 0, || format!("from {wire_peer} as {peer}"));
+            }
+            E::TaddPurge => m.bump(&m.tadd_purges),
+            E::DuplicateSuppressed => m.bump(&m.duplicates_suppressed),
+            E::Transit { dst } => self.line(0, Ip, "transit", 0, || dst.to_string()),
+            E::SpliceRetry { addr, n, error } => {
+                m.bump(&m.retry_attempts);
+                self.line(d(), Nd, "retry", 0, || {
+                    format!("splice hop {addr} retry {n}: {error}")
+                });
+            }
+            // aux names the final destination: a snapshot shows both ends.
+            E::Splice { src, msg_id, dst } => self.record(k::CIRCUIT_OPEN, src, msg_id, dst.raw()),
+            E::SpliceRefused { src, msg_id, error } => {
+                self.record(k::SHED, src, msg_id, error.wire_code().into());
+            }
+            E::RelayDrop { bytes } => self.record(k::DROP, UAdd::from_raw(0), 0, bytes),
+            E::NsRetry { shard, n, error } => {
+                m.bump(&m.retry_attempts);
+                self.line(d(), Nsp, "ns-retry", 0, || {
+                    format!("shard {shard} replica sweep {n} failed: {error}")
+                });
+            }
+            E::Relocation { old, machine } => self.record(k::RELOCATION, old, 0, machine.into()),
+        }
     }
 }
 
@@ -1010,6 +1347,22 @@ pub fn dump_snapshot(name: &str, json: &str) -> Option<PathBuf> {
     Some(path)
 }
 
+/// The distinct metric names across `reports`, in first-seen order.
+fn family_names<T>(
+    reports: &[ModuleReport],
+    pick: impl Fn(&ModuleReport) -> &[(&'static str, T)],
+) -> Vec<&'static str> {
+    let mut names: Vec<&'static str> = Vec::new();
+    for r in reports {
+        for (name, _) in pick(r) {
+            if !names.contains(name) {
+                names.push(name);
+            }
+        }
+    }
+    names
+}
+
 /// A callback producing a module's current [`ModuleReport`]; registered
 /// once per module with the [`MetricsRegistry`].
 pub type ReportSource = Box<dyn Fn() -> ModuleReport + Send + Sync>;
@@ -1115,16 +1468,8 @@ impl MetricsRegistry {
         let reports = self.reports();
         let mut out = String::new();
 
-        // Counters, grouped by metric name so each # TYPE appears once.
-        let mut counter_names: Vec<&'static str> = Vec::new();
-        for r in &reports {
-            for (name, _) in &r.counters {
-                if !counter_names.contains(name) {
-                    counter_names.push(name);
-                }
-            }
-        }
-        for name in counter_names {
+        // Each family grouped by metric name, so each # TYPE appears once.
+        for name in family_names(&reports, |r| &r.counters) {
             out.push_str(&format!("# HELP ntcs_{name}_total {}\n", help_for(name)));
             out.push_str(&format!("# TYPE ntcs_{name}_total counter\n"));
             for r in &reports {
@@ -1137,15 +1482,7 @@ impl MetricsRegistry {
             }
         }
 
-        let mut gauge_names: Vec<&'static str> = Vec::new();
-        for r in &reports {
-            for (name, _) in &r.gauges {
-                if !gauge_names.contains(name) {
-                    gauge_names.push(name);
-                }
-            }
-        }
-        for name in gauge_names {
+        for name in family_names(&reports, |r| &r.gauges) {
             out.push_str(&format!("# HELP ntcs_{name} {}\n", help_for(name)));
             out.push_str(&format!("# TYPE ntcs_{name} gauge\n"));
             for r in &reports {
@@ -1155,15 +1492,7 @@ impl MetricsRegistry {
             }
         }
 
-        let mut hist_names: Vec<&'static str> = Vec::new();
-        for r in &reports {
-            for (name, _) in &r.histograms {
-                if !hist_names.contains(name) {
-                    hist_names.push(name);
-                }
-            }
-        }
-        for name in hist_names {
+        for name in family_names(&reports, |r| &r.histograms) {
             out.push_str(&format!("# HELP ntcs_{name} {}\n", help_for(name)));
             out.push_str(&format!("# TYPE ntcs_{name} histogram\n"));
             for r in &reports {
@@ -1248,6 +1577,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn trace_ids_are_unique_and_nonzero() {
@@ -1529,26 +1859,526 @@ mod tests {
         assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
+    /// What one event leaves in fresh sinks: each named counter bumped
+    /// once, at most one recorder slot `(kind, peer, msg_id, aux)`, at most
+    /// one histogram sample, and at most one trace line `(layer, action)`.
+    /// The values are what the hand-written sites produced before the
+    /// sites became `emit` calls.
+    type Expect = (
+        &'static [&'static str],
+        Option<(u32, u64, u64, u64)>,
+        Option<&'static str>,
+        Option<(Layer, &'static str)>,
+    );
+
     #[test]
-    fn gauge_sampler_reports_latest_values() {
-        let n = Arc::new(AtomicU64::new(41));
-        let n2 = Arc::clone(&n);
-        let sampler = GaugeSampler::spawn(
-            Duration::from_millis(5),
-            vec![(
-                "answer",
-                Box::new(move || n2.load(Ordering::SeqCst)) as GaugeSource,
-            )],
+    fn every_event_lands_in_exactly_its_sinks() {
+        use event_kind as k;
+        use Layer::{Ip, Lcm, Nd, Nsp};
+        use ObsEvent as E;
+        let (p, q) = (UAdd::from_raw(0x200), UAdd::from_raw(0x300));
+        let error = &NtcsError::ConnectionClosed;
+        let addr = &PhysAddr::Mbx {
+            network: ntcs_addr::NetworkId(0),
+            path: "/sys/mbx/x".into(),
+        };
+        let code = u64::from(error.wire_code());
+        let cases: Vec<(ObsEvent<'_>, Expect)> = vec![
+            (
+                E::Send {
+                    dst: p,
+                    msg_id: 7,
+                    trace: 9,
+                },
+                (&[], None, None, Some((Lcm, "send"))),
+            ),
+            (
+                E::Sent { peer: p, msg_id: 7 },
+                (&["sends"], Some((k::SEND, 0x200, 7, 0)), None, None),
+            ),
+            (E::Cast, (&["casts"], None, None, None)),
+            (E::CastDropped, (&["dropped_messages"], None, None, None)),
+            (E::Recv, (&["recvs"], None, None, None)),
+            (
+                E::Deliver {
+                    peer: p,
+                    msg_id: 7,
+                    span: 1,
+                    sent_at_us: 1,
+                    trace: 9,
+                },
+                (
+                    &[],
+                    Some((k::DELIVER, 0x200, 7, 0)),
+                    Some("send_to_deliver_us"),
+                    Some((Lcm, "deliver")),
+                ),
+            ),
+            (
+                E::Deliver {
+                    peer: p,
+                    msg_id: 7,
+                    span: 0,
+                    sent_at_us: 0,
+                    trace: 0,
+                },
+                (&[], Some((k::DELIVER, 0x200, 7, 0)), None, None),
+            ),
+            (
+                E::CreditGrant {
+                    peer: p,
+                    bytes: 512,
+                },
+                (&[], Some((k::CREDIT_GRANT, 0x200, 0, 512)), None, None),
+            ),
+            (
+                E::Reissue {
+                    dst: p,
+                    msg_id: 7,
+                    n: 2,
+                },
+                (
+                    &["request_reissues"],
+                    Some((k::RETRY, 0x200, 7, 2)),
+                    None,
+                    Some((Lcm, "reissue")),
+                ),
+            ),
+            (
+                E::Retransmit {
+                    dst: p,
+                    msg_id: 7,
+                    attempt: 2,
+                    trace: 9,
+                },
+                (
+                    &["retransmissions", "retry_attempts"],
+                    None,
+                    None,
+                    Some((Lcm, "retransmit")),
+                ),
+            ),
+            (
+                E::Retransmit {
+                    dst: p,
+                    msg_id: 7,
+                    attempt: 2,
+                    trace: 0,
+                },
+                (&["retransmissions", "retry_attempts"], None, None, None),
+            ),
+            (
+                E::DeadLetter {
+                    dst: p,
+                    msg_id: 7,
+                    attempts: 3,
+                    error,
+                },
+                (
+                    &["dead_letters"],
+                    Some((k::DEAD_LETTER, 0x200, 7, 3)),
+                    None,
+                    Some((Lcm, "dead-letter")),
+                ),
+            ),
+            (
+                E::BreakerRecover { peer: p },
+                (
+                    &["breaker_recoveries"],
+                    Some((k::BREAKER, 0x200, 0, 0)),
+                    None,
+                    Some((Lcm, "breaker-recover")),
+                ),
+            ),
+            (
+                E::BreakerTrip { peer: p },
+                (
+                    &["breaker_trips"],
+                    Some((k::BREAKER, 0x200, 0, 2)),
+                    None,
+                    Some((Lcm, "breaker-trip")),
+                ),
+            ),
+            (
+                E::Reconnect {
+                    peer: p,
+                    faults: 1,
+                    fault_at_us: 0,
+                    trace: 0,
+                },
+                (
+                    &["reconnects"],
+                    None,
+                    Some("fault_recovery_us"),
+                    Some((Lcm, "reconnect")),
+                ),
+            ),
+            (
+                E::AddressFault {
+                    peer: p,
+                    error,
+                    trace: 0,
+                },
+                (
+                    &["address_faults"],
+                    None,
+                    None,
+                    Some((Lcm, "address-fault")),
+                ),
+            ),
+            (
+                E::CreditStall {
+                    peer: p,
+                    msg_id: 7,
+                    bytes: 64,
+                    trace: 9,
+                },
+                (
+                    &["flow_stalls"],
+                    Some((k::CREDIT_STALL, 0x200, 7, 64)),
+                    None,
+                    Some((Lcm, "flow-stall")),
+                ),
+            ),
+            (
+                E::CreditStall {
+                    peer: p,
+                    msg_id: 7,
+                    bytes: 64,
+                    trace: 0,
+                },
+                (
+                    &["flow_stalls"],
+                    Some((k::CREDIT_STALL, 0x200, 7, 64)),
+                    None,
+                    None,
+                ),
+            ),
+            (E::CreditShed, (&["flow_sheds"], None, None, None)),
+            (
+                E::InboxShed {
+                    peer: p,
+                    msg_id: 7,
+                    depth: 8,
+                },
+                (&["flow_sheds"], Some((k::SHED, 0x200, 7, 8)), None, None),
+            ),
+            (
+                E::ForwardingQuery {
+                    peer: p,
+                    cause: error,
+                },
+                (
+                    &["forward_queries"],
+                    None,
+                    None,
+                    Some((Nsp, "forwarding-query")),
+                ),
+            ),
+            (
+                E::CacheInvalidate {
+                    peer: p,
+                    pushed: true,
+                },
+                (
+                    &["ns_invalidations"],
+                    Some((k::CACHE_INVALIDATE, 0x200, 0, 1)),
+                    None,
+                    None,
+                ),
+            ),
+            (
+                E::CacheInvalidate {
+                    peer: p,
+                    pushed: false,
+                },
+                (
+                    &["ns_invalidations"],
+                    Some((k::CACHE_INVALIDATE, 0x200, 0, 0)),
+                    None,
+                    None,
+                ),
+            ),
+            (
+                E::CircuitClose { peer: p },
+                (&[], Some((k::CIRCUIT_CLOSE, 0x200, 0, 0)), None, None),
+            ),
+            (
+                E::SubstrateUpgrade { peer: p },
+                (&[], None, None, Some((Lcm, "substrate-upgrade"))),
+            ),
+            (
+                E::CacheHit { peer: p },
+                (
+                    &["ns_cache_hits"],
+                    Some((k::CACHE_HIT, 0x200, 0, 0)),
+                    None,
+                    None,
+                ),
+            ),
+            (
+                E::CacheMiss {
+                    peer: p,
+                    expired: false,
+                },
+                (
+                    &["ns_cache_misses"],
+                    Some((k::CACHE_MISS, 0x200, 0, 0)),
+                    None,
+                    None,
+                ),
+            ),
+            (
+                E::CacheMiss {
+                    peer: p,
+                    expired: true,
+                },
+                (
+                    &["ns_cache_stale"],
+                    Some((k::CACHE_MISS, 0x200, 0, 1)),
+                    None,
+                    None,
+                ),
+            ),
+            (
+                E::Lookup { peer: p },
+                (&["ns_lookups"], None, None, Some((Nsp, "lookup"))),
+            ),
+            (
+                E::LookupDone { started_us: 0 },
+                (&[], None, Some("ns_lookup_us"), None),
+            ),
+            (
+                E::SubstrateSelect { peer: p, code: 4 },
+                (
+                    &["substrate_selects"],
+                    Some((k::SUBSTRATE, 0x200, 0, 4)),
+                    None,
+                    None,
+                ),
+            ),
+            (
+                E::SubstrateHandoff {
+                    peer: p,
+                    old: 1,
+                    new: 4,
+                },
+                (
+                    &["substrate_handoffs"],
+                    Some((k::SUBSTRATE, 0x200, 0, 0x114)),
+                    None,
+                    Some((Nd, "substrate-handoff")),
+                ),
+            ),
+            (
+                E::SubstrateFallback { addr, error },
+                (
+                    &["substrate_fallbacks"],
+                    None,
+                    None,
+                    Some((Nd, "substrate-fallback")),
+                ),
+            ),
+            (
+                E::RouteQuery { dst: p },
+                (&["route_queries"], None, None, Some((Ip, "route-query"))),
+            ),
+            (
+                E::NdOpen { addr, trace: 9 },
+                (&["nd_open_attempts"], None, None, Some((Nd, "open"))),
+            ),
+            (
+                E::NdRetry {
+                    peer: p,
+                    addr,
+                    n: 2,
+                    error,
+                },
+                (
+                    &["nd_open_attempts", "retry_attempts"],
+                    Some((k::RETRY, 0x200, 0, 2)),
+                    None,
+                    Some((Nd, "retry")),
+                ),
+            ),
+            (
+                E::CircuitOpen {
+                    peer: p,
+                    started_us: 0,
+                },
+                (
+                    &["circuits_opened"],
+                    Some((k::CIRCUIT_OPEN, 0x200, 0, 1)),
+                    Some("circuit_establish_us"),
+                    None,
+                ),
+            ),
+            (
+                E::CircuitAccept {
+                    wire_peer: p,
+                    peer: q,
+                },
+                (
+                    &["circuits_accepted"],
+                    Some((k::CIRCUIT_OPEN, 0x200, 0, 0)),
+                    None,
+                    Some((Nd, "accept")),
+                ),
+            ),
+            (E::TaddPurge, (&["tadd_purges"], None, None, None)),
+            (
+                E::DuplicateSuppressed,
+                (&["duplicates_suppressed"], None, None, None),
+            ),
+            (
+                E::Transit { dst: p },
+                (&[], None, None, Some((Ip, "transit"))),
+            ),
+            (
+                E::SpliceRetry { addr, n: 2, error },
+                (&["retry_attempts"], None, None, Some((Nd, "retry"))),
+            ),
+            (
+                E::Splice {
+                    src: p,
+                    msg_id: 7,
+                    dst: q,
+                },
+                (&[], Some((k::CIRCUIT_OPEN, 0x200, 7, 0x300)), None, None),
+            ),
+            (
+                E::SpliceRefused {
+                    src: p,
+                    msg_id: 7,
+                    error,
+                },
+                (&[], Some((k::SHED, 0x200, 7, code)), None, None),
+            ),
+            (
+                E::RelayDrop { bytes: 64 },
+                (&[], Some((k::DROP, 0, 0, 64)), None, None),
+            ),
+            (
+                E::NsRetry {
+                    shard: 1,
+                    n: 2,
+                    error,
+                },
+                (&["retry_attempts"], None, None, Some((Nsp, "ns-retry"))),
+            ),
+            (
+                E::Relocation { old: p, machine: 3 },
+                (&[], Some((k::RELOCATION, 0x200, 0, 3)), None, None),
+            ),
+        ];
+        for (ev, (counters, recorded, hist, trace)) in cases {
+            let clock = SimClock::new_virtual(Arc::new(ntcs_ipcs::VirtualTime::new()), 0, 0.0);
+            let sinks = Sinks::new(clock, true);
+            sinks.emit(&RecursionGauge::new(8), ev);
+            let bumped: Vec<_> = sinks
+                .metrics
+                .snapshot()
+                .counters()
+                .into_iter()
+                .filter(|&(_, v)| v != 0)
+                .collect();
+            let mut want: Vec<_> = counters.iter().map(|&c| (c, 1)).collect();
+            want.sort_unstable();
+            let mut got = bumped.clone();
+            got.sort_unstable();
+            assert_eq!(got, want, "{ev:?}: counters");
+            let slots: Vec<_> = sinks
+                .recorder
+                .events()
+                .iter()
+                .map(|e| (e.kind, e.peer, e.msg_id, e.aux))
+                .collect();
+            assert_eq!(
+                slots,
+                recorded.into_iter().collect::<Vec<_>>(),
+                "{ev:?}: recorder"
+            );
+            let sampled: Vec<_> = sinks
+                .hists
+                .snapshots()
+                .into_iter()
+                .filter(|(_, h)| h.count != 0)
+                .map(|(name, h)| (name, h.count))
+                .collect();
+            assert_eq!(
+                sampled,
+                hist.map(|h| (h, 1)).into_iter().collect::<Vec<_>>(),
+                "{ev:?}: histogram"
+            );
+            let lines: Vec<_> = sinks
+                .trace
+                .events()
+                .iter()
+                .map(|e| (e.layer, e.action))
+                .collect();
+            assert_eq!(
+                lines,
+                trace.into_iter().collect::<Vec<_>>(),
+                "{ev:?}: trace"
+            );
+        }
+    }
+
+    #[test]
+    fn trace_lines_render_the_parent_wording() {
+        let clock = SimClock::new_virtual(Arc::new(ntcs_ipcs::VirtualTime::new()), 0, 0.0);
+        let sinks = Sinks::new(clock, true);
+        let gauge = RecursionGauge::new(8);
+        let (p, error) = (UAdd::from_raw(0x200), &NtcsError::ConnectionClosed);
+        let _depth = gauge.enter().unwrap();
+        sinks.emit(
+            &gauge,
+            ObsEvent::Send {
+                dst: p,
+                msg_id: 7,
+                trace: 0,
+            },
         );
-        assert_eq!(sampler.latest(), vec![("answer", 41)]);
-        n.store(42, Ordering::SeqCst);
-        sampler.sample_now();
-        assert_eq!(sampler.latest(), vec![("answer", 42)]);
-        let source = sampler.report_source("sampler");
-        let report = source();
-        assert_eq!(report.module, "sampler");
-        assert_eq!(report.gauges, vec![("answer", 42)]);
-        sampler.stop();
+        sinks.emit(
+            &gauge,
+            ObsEvent::AddressFault {
+                peer: p,
+                error,
+                trace: 9,
+            },
+        );
+        sinks.emit(
+            &gauge,
+            ObsEvent::SubstrateHandoff {
+                peer: p,
+                old: 1,
+                new: 4,
+            },
+        );
+        sinks.emit(
+            &gauge,
+            ObsEvent::Deliver {
+                peer: p,
+                msg_id: 8,
+                span: 2,
+                sent_at_us: 0,
+                trace: 9,
+            },
+        );
+        let evs = sinks.trace.events();
+        let whys: Vec<_> = evs
+            .iter()
+            .map(|e| (e.depth, e.why.as_str(), e.trace_id))
+            .collect();
+        assert_eq!(
+            whys,
+            [
+                (1, format!("→ {p} (msg 7)").as_str(), 0),
+                (1, format!("{p}: {error}").as_str(), 9),
+                (1, format!("{p}: shm → tcp").as_str(), 0),
+                (0, format!("from {p} (msg 8, span 2)").as_str(), 9),
+            ]
+        );
     }
 
     #[test]

@@ -15,9 +15,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use ntcs_addr::{NtcsError, Result};
+use ntcs_addr::{NtcsError, Result, UAdd};
 use parking_lot::Mutex;
 
 /// The NTCS layers, for trace attribution.
@@ -47,17 +46,6 @@ impl Layer {
         Layer::Nd,
         Layer::Drts,
     ];
-
-    fn index(self) -> usize {
-        match self {
-            Layer::Ali => 0,
-            Layer::Nsp => 1,
-            Layer::Lcm => 2,
-            Layer::Ip => 3,
-            Layer::Nd => 4,
-            Layer::Drts => 5,
-        }
-    }
 }
 
 impl fmt::Display for Layer {
@@ -87,8 +75,9 @@ pub struct TraceEvent {
     pub action: &'static str,
     /// Who is calling and why — the context the paper found missing.
     pub why: String,
-    /// The causal trace id active when the event was recorded (0 = none),
-    /// joining this local ring to the testbed-wide hop chains.
+    /// The causal trace id of the send, delivery or circuit open that
+    /// recorded the event (0 = untraced or none), joining this local ring
+    /// to the testbed-wide hop chains.
     pub trace_id: u64,
 }
 
@@ -111,30 +100,56 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-struct TraceInner {
-    ring: Mutex<VecDeque<TraceEvent>>,
+/// The `why` of a buffered record. Per-message reasons stay typed until
+/// the ring is read, so recording one allocates nothing; the rest are
+/// formatted when recorded.
+pub(crate) enum Why {
+    /// An LCM send toward `dst`.
+    Send { dst: UAdd, msg_id: u64 },
+    /// A traced delivery from `peer`.
+    Deliver { peer: UAdd, msg_id: u64, span: u32 },
+    /// Formatted at record time.
+    Text(String),
+}
+
+impl fmt::Display for Why {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Why::Send { dst, msg_id } => write!(f, "→ {dst} (msg {msg_id})"),
+            Why::Deliver { peer, msg_id, span } => {
+                write!(f, "from {peer} (msg {msg_id}, span {span})")
+            }
+            Why::Text(s) => f.write_str(s),
+        }
+    }
+}
+
+/// A buffered record: a [`TraceEvent`] whose `why` is not yet rendered.
+struct Entry {
+    seq: u64,
+    depth: u32,
+    layer: Layer,
+    action: &'static str,
+    why: Why,
+    trace_id: u64,
+}
+
+/// A bounded, selective layer-trace ring buffer, one per module's
+/// Nucleus binding.
+pub struct LayerTrace {
+    ring: Mutex<VecDeque<Entry>>,
     seq: AtomicU64,
     enabled: AtomicBool,
     /// Per-layer selectivity filters.
     layer_enabled: [AtomicBool; 6],
-    /// The trace id of the journey currently in flight on this module
-    /// (0 = none); stamped onto every recorded event.
-    current_trace: AtomicU64,
     capacity: usize,
-}
-
-/// A bounded, selective layer-trace ring buffer shared by one module's
-/// ComMod/Nucleus binding.
-#[derive(Clone)]
-pub struct LayerTrace {
-    inner: Arc<TraceInner>,
 }
 
 impl fmt::Debug for LayerTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LayerTrace")
-            .field("events", &self.inner.ring.lock().len())
-            .field("enabled", &self.inner.enabled.load(Ordering::Relaxed))
+            .field("events", &self.ring.lock().len())
+            .field("enabled", &self.enabled.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -153,62 +168,54 @@ impl LayerTrace {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LayerTrace {
-            inner: Arc::new(TraceInner {
-                ring: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-                seq: AtomicU64::new(0),
-                enabled: AtomicBool::new(true),
-                layer_enabled: Default::default(),
-                current_trace: AtomicU64::new(0),
-                capacity,
-            }),
+            ring: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            seq: AtomicU64::new(0),
+            enabled: AtomicBool::new(true),
+            layer_enabled: Default::default(),
+            capacity,
         }
-    }
-
-    /// Sets the causal trace id stamped onto subsequently recorded events
-    /// (0 clears it).
-    pub fn set_current_trace(&self, trace_id: u64) {
-        self.inner.current_trace.store(trace_id, Ordering::Relaxed);
-    }
-
-    /// The trace id currently being stamped onto events (0 = none).
-    #[must_use]
-    pub fn current_trace(&self) -> u64 {
-        self.inner.current_trace.load(Ordering::Relaxed)
     }
 
     /// Globally enables or disables tracing.
     pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
+        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Enables or disables one layer's events (the selectivity §6.2 calls
     /// for). All layers start enabled.
     pub fn set_layer_enabled(&self, layer: Layer, on: bool) {
         // Stored inverted so the default (false) means "enabled".
-        self.inner.layer_enabled[layer.index()].store(!on, Ordering::Relaxed);
+        self.layer_enabled[layer as usize].store(!on, Ordering::Relaxed);
     }
 
     fn layer_on(&self, layer: Layer) -> bool {
-        !self.inner.layer_enabled[layer.index()].load(Ordering::Relaxed)
+        !self.layer_enabled[layer as usize].load(Ordering::Relaxed)
     }
 
-    /// Records a layer entry.
-    pub fn record(&self, depth: u32, layer: Layer, action: &'static str, why: impl fmt::Display) {
-        if !self.inner.enabled.load(Ordering::Relaxed) || !self.layer_on(layer) {
+    /// Records a layer entry; `why` runs only if the layer is traced.
+    pub(crate) fn record(
+        &self,
+        depth: u32,
+        layer: Layer,
+        action: &'static str,
+        trace_id: u64,
+        why: impl FnOnce() -> Why,
+    ) {
+        if !self.enabled.load(Ordering::Relaxed) || !self.layer_on(layer) {
             return;
         }
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let trace_id = self.inner.current_trace.load(Ordering::Relaxed);
-        let mut ring = self.inner.ring.lock();
-        if ring.len() >= self.inner.capacity {
+        let why = why();
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.ring.lock();
+        if ring.len() >= self.capacity {
             ring.pop_front();
         }
-        ring.push_back(TraceEvent {
+        ring.push_back(Entry {
             seq,
             depth,
             layer,
             action,
-            why: why.to_string(),
+            why,
             trace_id,
         });
     }
@@ -216,12 +223,22 @@ impl LayerTrace {
     /// Snapshots the buffered events (oldest first).
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.ring.lock().iter().cloned().collect()
+        let ring = self.ring.lock();
+        ring.iter()
+            .map(|e| TraceEvent {
+                seq: e.seq,
+                depth: e.depth,
+                layer: e.layer,
+                action: e.action,
+                why: e.why.to_string(),
+                trace_id: e.trace_id,
+            })
+            .collect()
     }
 
     /// Clears the buffer.
     pub fn clear(&self) {
-        self.inner.ring.lock().clear();
+        self.ring.lock().clear();
     }
 
     /// Renders the buffered events as an indented call trace.
@@ -306,12 +323,23 @@ impl Drop for RecursionScope<'_> {
 mod tests {
     use super::*;
 
+    fn text(s: impl Into<String>) -> impl FnOnce() -> Why {
+        let s = s.into();
+        move || Why::Text(s)
+    }
+
     #[test]
     fn records_and_renders() {
         let t = LayerTrace::new(16);
-        t.record(0, Layer::Ali, "send", "app → index-server");
-        t.record(1, Layer::Lcm, "send", "from ALI");
-        t.record(2, Layer::Nsp, "lookup", "LCM needs phys of UAdd(0x100)");
+        t.record(0, Layer::Ali, "send", 0, text("app → index-server"));
+        t.record(1, Layer::Lcm, "send", 0, text("from ALI"));
+        t.record(
+            2,
+            Layer::Nsp,
+            "lookup",
+            0,
+            text("LCM needs phys of UAdd(0x100)"),
+        );
         let evs = t.events();
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].layer, Layer::Ali);
@@ -324,7 +352,7 @@ mod tests {
     fn ring_is_bounded() {
         let t = LayerTrace::new(4);
         for i in 0..10 {
-            t.record(0, Layer::Nd, "open", format!("n{i}"));
+            t.record(0, Layer::Nd, "open", 0, text(format!("n{i}")));
         }
         let evs = t.events();
         assert_eq!(evs.len(), 4);
@@ -338,7 +366,7 @@ mod tests {
         // without bound.
         let t = LayerTrace::new(0);
         for i in 0..100 {
-            t.record(0, Layer::Lcm, "send", format!("n{i}"));
+            t.record(0, Layer::Lcm, "send", 0, text(format!("n{i}")));
         }
         let evs = t.events();
         assert_eq!(evs.len(), 1, "clamped to capacity 1");
@@ -346,31 +374,44 @@ mod tests {
     }
 
     #[test]
-    fn events_carry_the_current_trace_id() {
+    fn events_carry_their_own_trace_id_and_render_why_when_read() {
         let t = LayerTrace::new(8);
-        t.record(0, Layer::Ali, "send", "untraced");
-        t.set_current_trace(0xABCD);
-        t.record(0, Layer::Lcm, "send", "traced");
-        t.set_current_trace(0);
-        t.record(0, Layer::Nd, "open", "untraced again");
+        let dst = UAdd::from_raw(0x100);
+        t.record(0, Layer::Lcm, "send", 0, || Why::Send { dst, msg_id: 3 });
+        t.record(0, Layer::Lcm, "send", 0xABCD, || Why::Send {
+            dst,
+            msg_id: 4,
+        });
+        t.record(0, Layer::Nd, "open", 0, text("untraced again"));
         let evs = t.events();
         assert_eq!(evs[0].trace_id, 0);
+        assert_eq!(evs[0].why, format!("→ {dst} (msg 3)"));
         assert_eq!(evs[1].trace_id, 0xABCD);
         assert_eq!(evs[2].trace_id, 0);
         assert!(evs[1].to_string().contains("000000000000abcd"));
     }
 
     #[test]
+    fn filtered_layers_never_build_their_why() {
+        let t = LayerTrace::new(8);
+        t.set_layer_enabled(Layer::Nd, false);
+        t.record(0, Layer::Nd, "open", 0, || unreachable!("filtered layer"));
+        t.set_enabled(false);
+        t.record(0, Layer::Lcm, "send", 0, || unreachable!("tracing off"));
+        assert!(t.events().is_empty());
+    }
+
+    #[test]
     fn selectivity_filters_layers() {
         let t = LayerTrace::new(16);
         t.set_layer_enabled(Layer::Nd, false);
-        t.record(0, Layer::Nd, "open", "hidden");
-        t.record(0, Layer::Lcm, "send", "visible");
+        t.record(0, Layer::Nd, "open", 0, text("hidden"));
+        t.record(0, Layer::Lcm, "send", 0, text("visible"));
         let evs = t.events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].layer, Layer::Lcm);
         t.set_layer_enabled(Layer::Nd, true);
-        t.record(0, Layer::Nd, "open", "now visible");
+        t.record(0, Layer::Nd, "open", 0, text("now visible"));
         assert_eq!(t.events().len(), 2);
     }
 
@@ -378,7 +419,7 @@ mod tests {
     fn global_disable() {
         let t = LayerTrace::new(16);
         t.set_enabled(false);
-        t.record(0, Layer::Ali, "send", "x");
+        t.record(0, Layer::Ali, "send", 0, text("x"));
         assert!(t.events().is_empty());
     }
 

@@ -87,9 +87,11 @@ fn main() -> ntcs::Result<()> {
     println!("\nremote TraceQuery returned {} hops\n", remote.len());
 
     // -- flow control: a dawdling receiver shuts the credit window --
-    // The server drains nothing for 300 ms; the client's third bulk send
-    // finds the 2-frame window empty, blocks for credit, and records a
-    // STALL hop on its trace before delivery finally goes through.
+    // The server drains nothing for 300 ms; a bulk send that finds the
+    // 2-frame window empty blocks for credit and records a STALL hop on
+    // its trace before delivery finally goes through. Which of the four
+    // sends stalls depends on when the first grants come back, so the
+    // tour shows whichever chain holds the stall.
     println!("-- a credit-starved send, reassembled --");
     let drainer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(300));
@@ -100,7 +102,7 @@ fn main() -> ntcs::Result<()> {
         got
     });
     let body = "bulk".repeat(64);
-    let mut stall_trace = trace;
+    let mut traces = Vec::new();
     for i in 0..4u32 {
         let (_, t) = client.send_traced(
             dst,
@@ -109,19 +111,24 @@ fn main() -> ntcs::Result<()> {
                 body: body.clone(),
             },
         )?;
-        stall_trace = t;
+        traces.push(t);
     }
     let drained = drainer.join().expect("drainer thread");
     println!("receiver woke up and drained {drained} messages");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let chain = loop {
-        let chain = monitor.trace_chain(stall_trace.raw());
-        let complete = chain.iter().any(|h| h.kind == hop_kind::STALL)
-            && chain.iter().any(|h| h.kind == hop_kind::DELIVER);
-        if complete || std::time::Instant::now() > deadline {
-            break chain;
+        let stalled = traces
+            .iter()
+            .map(|t| monitor.trace_chain(t.raw()))
+            .find(|c| {
+                c.iter().any(|h| h.kind == hop_kind::STALL)
+                    && c.iter().any(|h| h.kind == hop_kind::DELIVER)
+            });
+        match stalled {
+            Some(chain) => break chain,
+            None if std::time::Instant::now() > deadline => break Vec::new(),
+            None => std::thread::sleep(Duration::from_millis(25)),
         }
-        std::thread::sleep(Duration::from_millis(25));
     };
     for hop in &chain {
         println!("  {hop}");

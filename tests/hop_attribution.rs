@@ -3,16 +3,18 @@
 //! traced sends to a live peer while thread B, on the same ComMod, sends
 //! into a peer that keeps relocating (address faults, reconnects) and into
 //! one that never drains its credit window (flow stalls). Every chain
-//! from A must hold only its SEND and DELIVER hops.
+//! from A must hold only its SEND and DELIVER hops. Across a gateway, a
+//! later untraced circuit open must not report a splice against an
+//! earlier traced send.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ntcs::{hop_kind, FlowSettings, NetKind};
+use ntcs::{hop_kind, FlowSettings, HopRecord, NetKind, TraceId};
 use ntcs_drts::{MonitorService, ServiceHost};
 use ntcs_repro::messages::Ask;
-use ntcs_repro::scenarios::single_net;
+use ntcs_repro::scenarios::{line_internet, single_net};
 
 const A_SENDS: u32 = 200;
 const WINDOW_FRAMES: u32 = 256;
@@ -142,4 +144,60 @@ fn concurrent_faults_and_stalls_stay_off_other_traces() {
     }
     monitor.stop();
     drop(lab);
+}
+
+/// Polls the monitor until `trace`'s chain holds `kind`, for up to 10 s.
+fn chain_with(monitor: &MonitorService, trace: TraceId, kind: u32) -> Vec<HopRecord> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let chain = monitor.trace_chain(trace.raw());
+        if chain.iter().any(|h| h.kind == kind) || Instant::now() >= deadline {
+            return chain;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn untraced_open_through_a_gateway_adds_no_splice_to_an_earlier_trace() {
+    let lab = line_internet(2, NetKind::Mbx).unwrap();
+    let (near, far) = (lab.edge_machines[0], lab.edge_machines[1]);
+    let monitor = MonitorService::spawn(&lab.testbed, near).unwrap();
+    lab.gateways[0].enable_hop_reports(monitor.uadd());
+    let names = ["gw-first", "gw-second", "gw-fence"];
+    let peers: Vec<_> = names
+        .iter()
+        .map(|name| lab.testbed.module(far, name).unwrap())
+        .collect();
+    let src = lab.testbed.module(near, "gw-src").unwrap();
+    src.set_hop_monitor(monitor.uadd());
+    peers[0].set_hop_monitor(monitor.uadd());
+    let dsts: Vec<_> = names.iter().map(|name| src.locate(name).unwrap()).collect();
+    let ask = Ask {
+        n: 0,
+        body: "across".into(),
+    };
+    let receive = |i: usize| peers[i].receive(Some(Duration::from_secs(5))).unwrap();
+
+    // A traced send opens the first circuit through the gateway.
+    let (_, first) = src.send_traced(dsts[0], &ask).unwrap();
+    receive(0);
+    assert!(chain_with(&monitor, first, hop_kind::DELIVER)
+        .iter()
+        .any(|h| h.kind == hop_kind::SPLICE));
+    // An untraced send opens a second circuit through the same gateway.
+    src.send(dsts[1], &ask).unwrap();
+    receive(1);
+    // A traced fence opens a third. The gateway casts its splice hops in
+    // splice order on one circuit, so once the fence's splice has landed,
+    // any splice reported for the second open has landed too.
+    let (_, fence) = src.send_traced(dsts[2], &ask).unwrap();
+    receive(2);
+    let fenced = chain_with(&monitor, fence, hop_kind::SPLICE);
+    assert!(fenced.iter().any(|h| h.kind == hop_kind::SPLICE));
+
+    let chain = monitor.trace_chain(first.raw());
+    let splices = chain.iter().filter(|h| h.kind == hop_kind::SPLICE).count();
+    assert_eq!(splices, 1, "the first trace's chain: {chain:#?}");
+    monitor.stop();
 }
