@@ -79,6 +79,6 @@ pub use ntcs_nucleus::{
     FlightRecorder, FlowPolicy, FlowSettings, Histogram, HistogramSnapshot, HopRecord, Lane, Layer,
     LayerTrace, MetricsRegistry, ModuleReport, Nucleus, NucleusConfig, NucleusMetricsSnapshot,
     ObsCollect, ObsCollectReply, ObsQuery, ObsReply, RecordedEvent, RetryPolicy, SubstrateBinding,
-    SubstrateSettings, TraceEvent, TraceId, TraceQuery, TraceReply, CONTROL_TYPE_MAX,
+    TraceEvent, TraceId, TraceQuery, TraceReply, CONTROL_TYPE_MAX,
 };
 pub use ntcs_wire::{ntcs_message, ConvMode, InboundPayload, Message, Packable};

@@ -48,7 +48,7 @@ use ntcs_nucleus::obs::{
     ObsQuery, ObsReply, ReportSource,
 };
 use ntcs_nucleus::proto::OpenPayload;
-use ntcs_nucleus::{GatewayHandler, Lvc, Nucleus, NucleusConfig};
+use ntcs_nucleus::{GatewayHandler, Lvc, Nucleus, NucleusConfig, CIRCUIT_RETRY};
 use ntcs_wire::{Frame, FrameHeader, FrameType, Message};
 use parking_lot::RwLock;
 
@@ -108,12 +108,12 @@ impl GatewayHandler for Splicer {
         // (§4.1) — it just asks its ND-Layer to dial the next hop, under the
         // same supervised retry policy every other layer uses.
         let addr = &next_addr;
-        let dial =
-            self.nucleus
-                .nd()
-                .open_with_policy(addr, &self.nucleus.config().retry, |n, error| {
-                    self.nucleus.emit(ObsEvent::SpliceRetry { addr, n, error });
-                });
+        let dial = self
+            .nucleus
+            .nd()
+            .open_with_policy(addr, &CIRCUIT_RETRY, |n, error| {
+                self.nucleus.emit(ObsEvent::SpliceRetry { addr, n, error });
+            });
         let next = match dial {
             Ok(l) => l,
             Err(e) => {

@@ -1,28 +1,18 @@
-//! Client-side name caching and shard placement.
+//! Shard placement for the sharded Name Service.
 //!
-//! Two pieces, both pure data structures (no clock of their own — every
-//! query passes `now_us`, so the deterministic simulation runtime and the
-//! proptests can drive time explicitly):
+//! [`ShardMap`] is the client's static view of the service: which replica
+//! group is authoritative for a name (FNV-1a hash of the name, mod shard
+//! count) or for a UAdd (the shard that generated it, recovered from the
+//! UAdd's embedded server id). Placement is **total** (every name maps to
+//! exactly one shard) and **stable** (changing anything but the shard count
+//! never moves a name).
 //!
-//! * [`NameCache`] — the NSP-Layer's leased location cache. Positive
-//!   entries hold a [`ntcs_nucleus::ResolvedModule`] under a TTL lease;
-//!   negative entries remember an `UnknownAddress` miss under a (shorter)
-//!   negative TTL so repeated lookups of a dead name do not hammer the
-//!   shard. A [`crate::protocol::NsInvalidate`] push kills an entry before
-//!   its lease expires; absent the push, **lease expiry bounds staleness**:
-//!   no entry is ever served past `inserted_at + ttl`.
-//! * [`ShardMap`] — the client's static view of the sharded Name Service:
-//!   which replica group is authoritative for a name (FNV-1a hash of the
-//!   name, mod shard count) or for a UAdd (the shard that generated it,
-//!   recovered from the UAdd's embedded server id). Placement is **total**
-//!   (every name maps to exactly one shard) and **stable** (changing
-//!   anything but the shard count never moves a name).
+//! Client-side location caching is not here: the Nucleus's
+//! [`ntcs_nucleus::StaticResolver`] holds the one leased table, and a
+//! [`crate::protocol::NsInvalidate`] push drops an entry from it before
+//! its lease runs out.
 
-use std::collections::HashMap;
-
-use ntcs_addr::{NtcsError, Result, UAdd};
-use ntcs_nucleus::ResolvedModule;
-use parking_lot::RwLock;
+use ntcs_addr::UAdd;
 
 /// Server-id stride between shards: shard `s` owns server ids
 /// `s * SHARD_STRIDE ..= s * SHARD_STRIDE + (SHARD_STRIDE - 1)` (primary at
@@ -133,176 +123,9 @@ impl ShardMap {
     }
 }
 
-/// What a cache probe concluded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheProbe {
-    /// A live positive entry within its lease: serve it.
-    Hit(ResolvedModule),
-    /// A live negative entry within its negative TTL: fail fast with
-    /// `UnknownAddress` without a round trip.
-    NegativeHit,
-    /// An entry exists but its lease expired (value kept for
-    /// stale-if-error fallback): revalidate.
-    Stale(ResolvedModule),
-    /// Nothing cached: go to the shard.
-    Miss,
-}
-
-#[derive(Debug, Clone)]
-enum Entry {
-    Positive {
-        module: ResolvedModule,
-        expires_us: u64,
-    },
-    Negative {
-        expires_us: u64,
-    },
-}
-
-/// The NSP-Layer's leased location cache (L2; the LCM's static resolver is
-/// the L1 fast path). All methods take `now_us` so time is caller-driven.
-#[derive(Debug, Default)]
-pub struct NameCache {
-    entries: RwLock<HashMap<UAdd, Entry>>,
-}
-
-impl NameCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        NameCache::default()
-    }
-
-    /// Probes the cache at `now_us`. Never returns a positive or negative
-    /// entry past its TTL — expiry demotes a positive entry to
-    /// [`CacheProbe::Stale`] and erases a negative one.
-    #[must_use]
-    pub fn probe(&self, uadd: UAdd, now_us: u64) -> CacheProbe {
-        let entries = self.entries.read();
-        match entries.get(&uadd) {
-            Some(Entry::Positive { module, expires_us }) if now_us < *expires_us => {
-                CacheProbe::Hit(module.clone())
-            }
-            Some(Entry::Positive { module, .. }) => CacheProbe::Stale(module.clone()),
-            Some(Entry::Negative { expires_us }) if now_us < *expires_us => CacheProbe::NegativeHit,
-            Some(Entry::Negative { .. }) | None => CacheProbe::Miss,
-        }
-    }
-
-    /// Installs a positive entry under a lease expiring at
-    /// `now_us + ttl_us`.
-    pub fn insert(&self, module: ResolvedModule, now_us: u64, ttl_us: u64) {
-        self.entries.write().insert(
-            module.uadd,
-            Entry::Positive {
-                module,
-                expires_us: now_us.saturating_add(ttl_us),
-            },
-        );
-    }
-
-    /// Installs a negative entry (the shard answered `UnknownAddress`)
-    /// expiring at `now_us + negative_ttl_us`.
-    pub fn insert_negative(&self, uadd: UAdd, now_us: u64, negative_ttl_us: u64) {
-        self.entries.write().insert(
-            uadd,
-            Entry::Negative {
-                expires_us: now_us.saturating_add(negative_ttl_us),
-            },
-        );
-    }
-
-    /// Kills any entry for `uadd` (an [`crate::protocol::NsInvalidate`]
-    /// landed, or the caller observed a forwarding address). Returns
-    /// whether an entry existed.
-    pub fn invalidate(&self, uadd: UAdd) -> bool {
-        self.entries.write().remove(&uadd).is_some()
-    }
-
-    /// Drops every entry.
-    pub fn clear(&self) {
-        self.entries.write().clear();
-    }
-
-    /// Number of entries (live or expired-but-unreaped).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
-    /// Resolves a probe into the lookup result contract: `Hit` serves,
-    /// `NegativeHit` fails fast, `Stale`/`Miss` return `None` (caller
-    /// revalidates).
-    ///
-    /// # Errors
-    ///
-    /// [`NtcsError::UnknownAddress`] on a live negative entry.
-    pub fn serve(&self, uadd: UAdd, now_us: u64) -> Result<Option<ResolvedModule>> {
-        match self.probe(uadd, now_us) {
-            CacheProbe::Hit(m) => Ok(Some(m)),
-            CacheProbe::NegativeHit => Err(NtcsError::UnknownAddress(uadd.raw())),
-            CacheProbe::Stale(_) | CacheProbe::Miss => Ok(None),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntcs_addr::{MachineType, NetworkId, PhysAddr};
-
-    fn module(raw: u64) -> ResolvedModule {
-        ResolvedModule {
-            uadd: UAdd::from_raw(raw),
-            machine_type: MachineType::Sun,
-            addrs: vec![PhysAddr::Mbx {
-                network: NetworkId(0),
-                path: "/m".into(),
-            }],
-        }
-    }
-
-    #[test]
-    fn lease_expiry_bounds_staleness() {
-        let cache = NameCache::new();
-        let m = module(0x300);
-        cache.insert(m.clone(), 1_000, 500);
-        assert_eq!(cache.probe(m.uadd, 1_499), CacheProbe::Hit(m.clone()));
-        // At exactly the expiry instant the entry is already stale.
-        assert_eq!(cache.probe(m.uadd, 1_500), CacheProbe::Stale(m.clone()));
-        assert_eq!(cache.probe(m.uadd, u64::MAX), CacheProbe::Stale(m));
-    }
-
-    #[test]
-    fn negative_entries_fail_fast_then_expire() {
-        let cache = NameCache::new();
-        let u = UAdd::from_raw(0x301);
-        cache.insert_negative(u, 0, 100);
-        assert_eq!(cache.probe(u, 99), CacheProbe::NegativeHit);
-        assert!(matches!(
-            cache.serve(u, 99),
-            Err(NtcsError::UnknownAddress(_))
-        ));
-        // Expired negative entries vanish — they never go stale.
-        assert_eq!(cache.probe(u, 100), CacheProbe::Miss);
-        assert_eq!(cache.serve(u, 100).unwrap(), None);
-    }
-
-    #[test]
-    fn invalidation_kills_a_live_lease() {
-        let cache = NameCache::new();
-        let m = module(0x302);
-        cache.insert(m.clone(), 0, 1_000_000);
-        assert!(cache.invalidate(m.uadd));
-        assert_eq!(cache.probe(m.uadd, 1), CacheProbe::Miss);
-        assert!(!cache.invalidate(m.uadd));
-    }
 
     #[test]
     fn shard_placement_is_total_and_stable() {

@@ -23,9 +23,10 @@
 //!   isolating the service's implementation. It implements
 //!   [`ntcs_nucleus::NameResolver`], closing the recursion loop, and fails
 //!   over between replicas.
-//! * [`NameCache`] / [`ShardMap`] — the shard extension: client-side
-//!   leased caching with negative entries and push invalidation, and the
-//!   name/UAdd → replica-group placement function.
+//! * [`ShardMap`] — the shard extension's name/UAdd → replica-group
+//!   placement function. The client's leased location cache is the
+//!   Nucleus's [`ntcs_nucleus::StaticResolver`]; the NSP-Layer drops its
+//!   entries on a pushed invalidation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +37,7 @@ pub mod nsp;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CacheProbe, NameCache, ShardMap};
+pub use cache::ShardMap;
 pub use db::{NameDb, NameRecord};
 pub use nsp::NspLayer;
 pub use server::{NameServer, NameServerConfig};

@@ -16,14 +16,49 @@ use ntcs_addr::{
     UAdd,
 };
 use ntcs_nucleus::proto::Hop;
-use ntcs_nucleus::{NameResolver, Nucleus, ObsEvent, ResolvedModule, RouteInfo};
+use ntcs_nucleus::{
+    NameResolver, Nucleus, ObsEvent, ResolvedModule, RetryPolicy, RouteInfo, BREAKER,
+};
 use ntcs_wire::Message;
 
-use crate::cache::{NameCache, ShardMap};
+use crate::cache::ShardMap;
 use crate::protocol::{
     phys_from_blobs, phys_to_blobs, NsAck, NsDeregister, NsForward, NsForwardReply, NsInvalidate,
     NsList, NsListReply, NsLookup, NsLookupReply, NsRegister, NsRegisterReply, NsResolve,
     NsResolveReply, NsRoute, NsRouteReply,
+};
+
+/// Per-attempt timeout for one Name-Server exchange. Deliberately much
+/// smaller than `NS_RETRY.deadline`: a replica that stalls must not
+/// consume the whole supervision budget before the sweep can fail over
+/// to the next one (§7).
+const NS_REQUEST_TIMEOUT: Duration = Duration::from_millis(750);
+
+/// Retry policy for naming-service queries, including replica failover
+/// sweeps. Separate from [`ntcs_nucleus::CIRCUIT_RETRY`] because a naming
+/// outage must fail over quickly rather than camp on one replica.
+const NS_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 8,
+    base_backoff: Duration::from_millis(10),
+    max_backoff: Duration::from_millis(200),
+    jitter: 0.25,
+    deadline: Duration::from_secs(3),
+    seed: 0x4E53, // "NS"
+};
+
+// The cumulative backoff before the sixth attempt (10+20+40+80+160 =
+// 310 ms; jitter only adds) exceeds the breaker's half-open timer, so a
+// healed Name-Server partition recovers within one supervised query
+// instead of surfacing a stale `CircuitBroken`.
+const _: () = {
+    let (mut sum_us, mut i) = (0, 0);
+    while i < 5 {
+        let step = NS_RETRY.base_backoff.as_micros() << i;
+        let cap = NS_RETRY.max_backoff.as_micros();
+        sum_us += if step < cap { step } else { cap };
+        i += 1;
+    }
+    assert!(sum_us > BREAKER.half_open_after.as_micros());
 };
 
 /// The NSP-Layer bound to one module's ComMod.
@@ -32,10 +67,6 @@ pub struct NspLayer {
     nucleus: Nucleus,
     /// Replica groups by shard; the classic deployment is one group.
     shards: ShardMap,
-    /// The leased location cache (L2; the LCM's static table is the L1
-    /// fast path). Shared so relocation can hand it to a successor.
-    cache: Arc<NameCache>,
-    timeout: Duration,
     /// Completed Name-Server exchanges (experiment E1 counts these).
     comms: AtomicU64,
 }
@@ -70,15 +101,9 @@ impl NspLayer {
     /// lease-invalidation intercept on the Nucleus.
     #[must_use]
     pub fn new_sharded(nucleus: Nucleus, shards: ShardMap) -> Arc<Self> {
-        // Per-attempt budget, kept well under `ns_retry.deadline` so one
-        // stalled replica cannot eat the whole supervision budget before
-        // the sweep reaches the next one (§7).
-        let timeout = nucleus.config().ns_request_timeout;
         let layer = Arc::new(NspLayer {
             nucleus,
             shards,
-            cache: Arc::new(NameCache::new()),
-            timeout,
             comms: AtomicU64::new(0),
         });
         layer.arm_invalidation_intercept();
@@ -86,16 +111,19 @@ impl NspLayer {
     }
 
     /// Wires the [`NsInvalidate`] control push into the Nucleus: the frame
-    /// is consumed on the pump thread, kills the lease in both cache
-    /// layers, and (when the push names a replacement) installs the §3.5
-    /// forwarding entry without waiting for an address fault.
+    /// is consumed on the pump thread, kills the lease, and (when the push
+    /// names a replacement) installs the §3.5 forwarding entry without
+    /// waiting for an address fault. Pushes are handled while this layer
+    /// lives.
     fn arm_invalidation_intercept(self: &Arc<Self>) {
         let weak: Weak<NspLayer> = Arc::downgrade(self);
         let nucleus = self.nucleus.clone();
         nucleus.clone().set_control_intercept(
             NsInvalidate::TYPE_ID,
             Arc::new(move |received| {
-                let Some(layer) = weak.upgrade() else { return };
+                if weak.strong_count() == 0 {
+                    return;
+                }
                 let Ok(inv) = received
                     .payload
                     .decode::<NsInvalidate>(nucleus.machine_type())
@@ -108,7 +136,6 @@ impl NspLayer {
                     // push (buggy or malicious) may evict them.
                     return;
                 }
-                layer.cache.invalidate(uadd);
                 if inv.replacement != 0 {
                     nucleus.note_forwarding(uadd, UAdd::from_raw(inv.replacement));
                 } else {
@@ -140,19 +167,12 @@ impl NspLayer {
         &self.shards
     }
 
-    /// The leased location cache (test/bench hook).
-    #[must_use]
-    pub fn cache(&self) -> &NameCache {
-        &self.cache
-    }
-
     /// One exchange with shard `shard`'s replica group, supervised: each
     /// attempt sweeps the group in preference order (§7 failover); when a
-    /// whole sweep fails on transport, the `ns_retry` policy backs off and
+    /// whole sweep fails on transport, the `NS_RETRY` policy backs off and
     /// re-sweeps until its attempt or deadline budget runs out.
     fn rpc<Req: Message, Rep: Message>(&self, shard: usize, req: &Req) -> Result<Rep> {
-        let policy = self.nucleus.config().ns_retry.clone();
-        policy.run(
+        NS_RETRY.run(
             |n, error| self.nucleus.emit(ObsEvent::NsRetry { shard, n, error }),
             |_| self.sweep(self.shards.group(shard), req),
         )
@@ -163,7 +183,7 @@ impl NspLayer {
     fn sweep<Req: Message, Rep: Message>(&self, servers: &[UAdd], req: &Req) -> Result<Rep> {
         let mut last = NtcsError::NameServerUnreachable;
         for &server in servers {
-            match self.nucleus.request(server, req, Some(self.timeout)) {
+            match self.nucleus.request(server, req, Some(NS_REQUEST_TIMEOUT)) {
                 Ok(received) => {
                     let rep = received.payload.decode::<Rep>(self.nucleus.machine_type());
                     match rep {
@@ -297,63 +317,33 @@ impl NspLayer {
     pub fn deregister(&self, uadd: UAdd) -> Result<bool> {
         let shard = self.shards.shard_for_uadd(uadd);
         let rep: NsAck = self.rpc(shard, &NsDeregister { uadd: uadd.raw() })?;
-        self.cache.invalidate(uadd);
         Ok(rep.ok)
     }
 }
 
 impl NameResolver for NspLayer {
     fn lookup(&self, uadd: UAdd) -> Result<ResolvedModule> {
-        let cache_cfg = &self.nucleus.config().name_cache;
-        if cache_cfg.enabled {
-            // L2 lease check: a fresh positive entry answers without a wire
-            // exchange; an unexpired negative entry fails fast.
-            if let Some(module) = self.cache.serve(uadd, self.nucleus.now_us())? {
-                return Ok(module);
-            }
-        }
         let shard = self.shards.shard_for_uadd(uadd);
         let rep: NsLookupReply = self.rpc(shard, &NsLookup { uadd: uadd.raw() })?;
-        let now_us = self.nucleus.now_us();
         if !rep.found {
-            if cache_cfg.enabled {
-                self.cache.insert_negative(
-                    uadd,
-                    now_us,
-                    u64::try_from(cache_cfg.negative_ttl.as_micros()).unwrap_or(u64::MAX),
-                );
-            }
             return Err(NtcsError::UnknownAddress(uadd.raw()));
         }
         if !rep.alive {
             // A dead module's location is useless; the caller will take the
-            // forwarding path. Not cached: the forwarding resolution will
-            // install the successor's lease instead.
-            self.cache.invalidate(uadd);
+            // forwarding path, which leases the successor instead.
             return Err(NtcsError::AddressFault(uadd.raw()));
         }
-        let module = ResolvedModule {
+        Ok(ResolvedModule {
             uadd,
             machine_type: MachineType::from_wire_code(rep.machine_type)?,
             addrs: phys_from_blobs(&rep.phys)?,
-        };
-        if cache_cfg.enabled {
-            self.cache.insert(
-                module.clone(),
-                now_us,
-                u64::try_from(cache_cfg.ttl.as_micros()).unwrap_or(u64::MAX),
-            );
-        }
-        Ok(module)
+        })
     }
 
     fn forwarding(&self, old: UAdd) -> Result<UAdd> {
         let shard = self.shards.shard_for_uadd(old);
         let rep: NsForwardReply = self.rpc(shard, &NsForward { old: old.raw() })?;
         if rep.found {
-            // The old incarnation is definitively gone; drop any lease so a
-            // concurrent lookup cannot resurrect it.
-            self.cache.invalidate(old);
             Ok(UAdd::from_raw(rep.new_uadd))
         } else if rep.known {
             Err(NtcsError::NoForwardingAddress(old.raw()))

@@ -21,7 +21,7 @@ use ntcs_addr::{
     UAdd,
 };
 use ntcs_ipcs::World;
-use ntcs_nucleus::{NameCacheSettings, Nucleus, NucleusConfig, Received};
+use ntcs_nucleus::{Nucleus, NucleusConfig, Received, NAME_LEASE_TTL};
 use ntcs_wire::Message;
 use parking_lot::{Mutex, RwLock};
 
@@ -58,8 +58,8 @@ pub struct NameServerConfig {
     pub sync_from: Option<(UAdd, Vec<PhysAddr>)>,
     /// How long a lookup reply's client lease lasts. Invalidation pushes go
     /// only to clients whose lease is still running; must be ≥ the clients'
-    /// [`NameCacheSettings::ttl`] or a relocation push can miss a client
-    /// still serving from cache.
+    /// [`NucleusConfig::name_lease_ttl`] or a relocation push can miss a
+    /// client still serving from cache.
     pub lease_ttl: Duration,
 }
 
@@ -74,7 +74,7 @@ impl NameServerConfig {
             peers: Vec::new(),
             cross_shard: Vec::new(),
             sync_from: None,
-            lease_ttl: NameCacheSettings::default().ttl,
+            lease_ttl: NAME_LEASE_TTL,
         }
     }
 
@@ -265,7 +265,7 @@ struct ServeCtx {
     lease_ttl_us: u64,
     /// Target UAdd → clients granted a lookup lease on it, with lease
     /// expiry. Pushes go only to unexpired holders; the registry is the
-    /// server-side mirror of the clients' [`NameCacheSettings`] leases.
+    /// server-side mirror of the clients' name leases.
     leases: Mutex<HashMap<UAdd, Vec<(UAdd, u64)>>>,
 }
 

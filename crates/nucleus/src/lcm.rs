@@ -41,8 +41,9 @@ use crate::nd::{Lvc, NdLayer, SubstrateBinding};
 use crate::obs::{FlightRecorder, ModuleReport, ObsEvent, Sinks, TraceId, TraceIdGen};
 use crate::proto::OpenPayload;
 use crate::resolver::{LeaseProbe, NameResolver, ResolvedModule, StaticResolver};
+use crate::retry::RetryPolicy;
 use crate::supervisor::{
-    BreakerRegistry, CircuitHealth, DeadLetter, DeadLetterSink, RetransmissionQueue,
+    BreakerConfig, BreakerRegistry, CircuitHealth, DeadLetter, DeadLetterSink, RetransmissionQueue,
 };
 use crate::trace::{LayerTrace, RecursionGauge};
 
@@ -249,12 +250,12 @@ struct LcmState {
 }
 
 impl LcmState {
-    fn new(inbox_cap: usize) -> Self {
+    fn new() -> Self {
         LcmState {
             conns: HashMap::new(),
             by_peer: HashMap::new(),
             forwarding: HashMap::new(),
-            inbox: BoundedDeque::new(inbox_cap),
+            inbox: BoundedDeque::new(INBOX_CAP),
             pongs: HashMap::new(),
             acks: std::collections::HashSet::new(),
             seen_reliable: std::collections::HashSet::new(),
@@ -267,6 +268,54 @@ impl LcmState {
 /// Message type id reserved for LCM-level acknowledgements (reliable
 /// extension); never delivered to the application.
 pub const RELIABLE_ACK_TYPE: u32 = u32::MAX;
+
+/// How long circuit establishment (LvcOpen → ack) may wait.
+const OPEN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Relocation attempts per send (§3.5: one forwarding query, then
+/// reconnect; bounded so a flapping destination cannot spin), and
+/// re-issues per request.
+const MAX_RELOCATIONS: u32 = 2;
+
+/// Retry policy for circuit establishment and re-establishment: ND-Layer
+/// opens, LCM reconnects, and the gateway's hop splicing.
+pub const CIRCUIT_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff: Duration::from_millis(5),
+    max_backoff: Duration::from_millis(200),
+    jitter: 0.25,
+    deadline: Duration::from_secs(5),
+    seed: 0x4E54_4353, // "NTCS"
+};
+
+/// Retry policy pacing reliable-send retransmissions. Each delay doubles
+/// as the ack-wait window — the loss detector, not a congestion backoff —
+/// so the curve is flat (cap == base): growing it would let a short run of
+/// drops open multi-second quiet gaps on an otherwise-live circuit.
+const RELIABLE_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 16,
+    base_backoff: Duration::from_millis(300),
+    max_backoff: Duration::from_millis(300),
+    jitter: 0.1,
+    deadline: Duration::from_secs(5),
+    seed: 0x52_454C, // "REL"
+};
+
+/// Per-peer breaker tuning: trip after three consecutive failed
+/// operations, admit a half-open probe after 250 ms.
+pub const BREAKER: BreakerConfig = BreakerConfig {
+    trip_after: 3,
+    half_open_after: Duration::from_millis(250),
+};
+
+/// Reliable sends simultaneously awaiting acknowledgement; further senders
+/// block (backpressure) until a slot frees.
+const RETRANSMIT_QUEUE_CAP: usize = 64;
+
+/// Capacity of the LCM inbox (received-but-undrained messages). The inbox
+/// is bounded even without flow control: overflow sheds the oldest entry
+/// and counts `flow_sheds` rather than growing without limit.
+const INBOX_CAP: usize = 8192;
 
 /// Whether a lookup error means the naming service *could not be asked*
 /// (transport), as opposed to an authoritative negative answer
@@ -364,7 +413,6 @@ impl Nucleus {
         // channel here could deadlock against bounded substrate queues.
         // Inbound volume is bounded upstream (inbox, MBX).
         let (events_tx, events_rx) = unbounded();
-        let inbox_cap = config.inbox_cap;
         let salt = (config.machine.0 as u16) ^ 0x1F;
         let clock = world.clock(config.machine)?;
         // Seed trace ids from the machine and module name so concurrent
@@ -375,8 +423,8 @@ impl Nucleus {
         }
         let inner = Arc::new(Inner {
             gauge: RecursionGauge::new(config.max_recursion_depth),
-            breakers: BreakerRegistry::new(config.breaker.clone(), clock.clone()),
-            retx: RetransmissionQueue::new(config.retransmit_queue_cap),
+            breakers: BreakerRegistry::new(BREAKER, clock.clone()),
+            retx: RetransmissionQueue::new(RETRANSMIT_QUEUE_CAP),
             dead_letter: RwLock::new(None),
             obs: Sinks::new(clock, config.recorder),
             trace_ids: TraceIdGen::new(trace_seed),
@@ -390,7 +438,7 @@ impl Nucleus {
             tadds: TAddGenerator::new(salt),
             msg_seq: AtomicU64::new(1),
             conn_seq: AtomicU64::new(1),
-            state: Mutex::new(LcmState::new(inbox_cap)),
+            state: Mutex::new(LcmState::new()),
             events_tx,
             events_rx,
             shutdown: AtomicBool::new(false),
@@ -546,12 +594,6 @@ impl Nucleus {
     #[must_use]
     pub fn next_trace_id(&self) -> TraceId {
         self.inner.trace_ids.next_id()
-    }
-
-    /// Health of every supervised peer circuit, sorted by peer address.
-    #[must_use]
-    pub fn breakers_health(&self) -> Vec<(UAdd, CircuitHealth)> {
-        self.inner.breakers.all_health()
     }
 
     /// This module's flight recorder (structured event ring).
@@ -789,7 +831,7 @@ impl Nucleus {
     /// arrives — its peer relocated or died, or a gateway tore the splice
     /// down (§4.3) — the request is re-issued under the same msg id
     /// through the §3.5 send loop (forwarding table, address fault,
-    /// forwarding query, reconnect), at most `max_relocations` times, each
+    /// forwarding query, reconnect), at most `MAX_RELOCATIONS` times, each
     /// within what is left of `timeout`. A request that reached the old
     /// incarnation before it closed may so run twice: like any
     /// [`Delivery::Send`], a request is not protected against duplicates.
@@ -847,9 +889,7 @@ impl Nucleus {
             if let Some(m) = self.take_queued(|m| m.reply_to == msg_id) {
                 return Ok(m);
             }
-            if reissues < self.inner.config.max_relocations
-                && self.lost_with_circuit(&carrier, msg_id)
-            {
+            if reissues < MAX_RELOCATIONS && self.lost_with_circuit(&carrier, msg_id) {
                 // The first send ran under the send path's own budgets,
                 // like any send; a re-issue runs inside the caller's wait,
                 // so it gets only what is left of `timeout`.
@@ -1030,13 +1070,9 @@ impl Nucleus {
         // The policy paces retransmissions: each scheduled delay is the
         // ack-wait window before the next retransmit. Seeding with the
         // msg_id de-synchronises concurrent senders deterministically.
-        let policy = self
-            .inner
-            .config
-            .reliable_retry
-            .clone()
+        let policy = RELIABLE_RETRY
             .with_deadline(timeout)
-            .with_seed(self.inner.config.reliable_retry.seed ^ msg_id);
+            .with_seed(RELIABLE_RETRY.seed ^ msg_id);
         let mut schedule = policy.schedule();
         // Claim a retransmission-queue slot (backpressure bound); freed on
         // every exit path by the RAII drop.
@@ -1181,7 +1217,7 @@ impl Nucleus {
     /// The §3.5 send loop every delivery class runs: follow the forwarding
     /// table, pass the breaker gate, send once, and — for the
     /// connection-oriented classes — meet an address fault by asking for a
-    /// forwarding address and trying again, up to `max_relocations` times.
+    /// forwarding address and trying again, up to `MAX_RELOCATIONS` times.
     /// Hands back the circuit the frame went out on.
     fn deliver(&self, dst: UAdd, spec: FrameSpec<'_>, report: &mut SendReport) -> Result<Carrier> {
         self.deliver_after(dst, spec, None, None, report)
@@ -1256,7 +1292,7 @@ impl Nucleus {
                         trace,
                     });
                     attempts += 1;
-                    if attempts > self.inner.config.max_relocations {
+                    if attempts > MAX_RELOCATIONS {
                         // The breaker counts failed *operations*, not the
                         // internal relocation retries (those are already
                         // supervised); record once, when the send gives up.
@@ -1559,7 +1595,7 @@ impl Nucleus {
                 match st.conns.get(&id) {
                     Some(e) => {
                         let udp_bound = e.binding.is_some_and(|b| b.code == SubstrateBinding::UDP);
-                        if udp_bound && !datagram && self.inner.config.substrate.adaptive {
+                        if udp_bound && !datagram {
                             upgrade = Some(id);
                         } else {
                             return Ok((id, false));
@@ -1585,23 +1621,16 @@ impl Nucleus {
         self.open_circuit(&resolved, datagram, trace, deadline)
     }
 
-    /// UAdd → location info: local cache / well-known table first, then the
-    /// naming service (recursively).
+    /// UAdd → location info: local leased table / well-known preload first,
+    /// then the naming service (recursively).
     ///
-    /// With the name cache enabled, the local table is lease-aware: a
-    /// fresh lease is served without a round trip (`ns_cache_hits`), an
+    /// A fresh lease is served without a round trip (`ns_cache_hits`), an
     /// expired one is revalidated (`ns_cache_stale`), and nothing cached
     /// goes to the shard cold (`ns_cache_misses`). A revalidation that
     /// fails on *transport* serves the expired entry (stale-if-error) —
     /// a dead naming service must not take warm conversations with it —
     /// but an authoritative "dead"/"unknown" answer is never overridden.
     fn resolve_module(&self, target: UAdd) -> Result<ResolvedModule> {
-        if !self.inner.config.name_cache.enabled {
-            if let Some(m) = self.inner.statics.get(target) {
-                return Ok(m);
-            }
-            return self.resolve_via_ns(target, None);
-        }
         let peer = target;
         match self.inner.statics.probe(target, self.now_us()) {
             LeaseProbe::Fresh(m) => {
@@ -1642,13 +1671,9 @@ impl Nucleus {
         match resolver.lookup(target) {
             Ok(m) => {
                 self.emit(ObsEvent::LookupDone { started_us });
-                let cache = self.inner.config.name_cache;
-                if cache.enabled {
-                    let expires = self.now_us().saturating_add(cache.ttl.as_micros() as u64);
-                    self.inner.statics.cache_leased(m.clone(), expires);
-                } else {
-                    self.inner.statics.cache(m.clone());
-                }
+                let ttl_us = self.inner.config.name_lease_ttl.as_micros() as u64;
+                let expires = self.now_us().saturating_add(ttl_us);
+                self.inner.statics.cache_leased(m.clone(), expires);
                 Ok(m)
             }
             Err(e) if stale.is_some() && resolver_unreachable(&e) => {
@@ -1660,14 +1685,10 @@ impl Nucleus {
         }
     }
 
-    /// Ranks the peer's directly reachable physical addresses for an open.
-    ///
-    /// With adaptive selection off, this is the pre-PR10 behaviour: the
-    /// first address on any locally attached network, in registry order.
-    /// With it on, the endpoint-placement policy applies: shared memory
-    /// first (the co-location fast path — a cross-machine SHM dial is
-    /// refused by the substrate and falls through to the next candidate),
-    /// then UDP for best-effort datagram traffic when allowed, then the
+    /// Ranks the peer's directly reachable physical addresses for an open:
+    /// shared memory first (the co-location fast path — a cross-machine
+    /// SHM dial is refused by the substrate and falls through to the next
+    /// candidate), then UDP for best-effort datagram traffic, then the
     /// connection-oriented substrates in registry order.
     fn ranked_direct_addrs(&self, resolved: &ResolvedModule, datagram: bool) -> Vec<PhysAddr> {
         let my_nets = self.inner.nd.networks();
@@ -1677,14 +1698,9 @@ impl Nucleus {
             .filter(|a| my_nets.contains(&a.network()))
             .cloned()
             .collect();
-        let sub = self.inner.config.substrate;
-        if !sub.adaptive {
-            addrs.truncate(1);
-            return addrs;
-        }
         addrs.sort_by_key(|a| match SubstrateBinding::for_addr(a).code {
             SubstrateBinding::SHM => 0u32,
-            SubstrateBinding::UDP if datagram && sub.allow_udp => 1,
+            SubstrateBinding::UDP if datagram => 1,
             SubstrateBinding::MBX => 2,
             SubstrateBinding::TCP => 3,
             // UDP for reliability classes it cannot honour ranks last: it
@@ -1827,22 +1843,19 @@ impl Nucleus {
         let started_us = self.inner.obs.clock.now_us();
         let (peer, addr) = (resolved.uadd, first_addr);
         self.emit(ObsEvent::NdOpen { addr, trace });
-        let bounded;
         let retry = match deadline {
             Some(d) => {
                 let left = d.saturating_duration_since(Instant::now());
-                let policy = &self.inner.config.retry;
-                bounded = policy.clone().with_deadline(policy.deadline.min(left));
-                &bounded
+                CIRCUIT_RETRY.with_deadline(CIRCUIT_RETRY.deadline.min(left))
             }
-            None => &self.inner.config.retry,
+            None => CIRCUIT_RETRY,
         };
         let lvc = if quick {
             self.inner.nd.open(first_addr, 0)?
         } else {
             self.inner
                 .nd
-                .open_with_policy(first_addr, retry, |n, error| {
+                .open_with_policy(first_addr, &retry, |n, error| {
                     self.emit(ObsEvent::NdRetry {
                         peer,
                         addr,
@@ -1890,7 +1903,7 @@ impl Nucleus {
 
         // Pump until the ack arrives (the passive Nucleus keeps working on
         // the caller's stack while waiting).
-        let open_deadline = Instant::now() + self.inner.config.open_timeout;
+        let open_deadline = Instant::now() + OPEN_TIMEOUT;
         let deadline = deadline.map_or(open_deadline, |d| d.min(open_deadline));
         loop {
             {
@@ -2300,7 +2313,8 @@ fn greet_inbound(inner: &Arc<Inner>, lvc: Lvc) {
 mod tests {
     use super::*;
     use crate::obs::event_kind;
-    use ntcs_addr::{MachineId, UAddGenerator};
+    use crate::resolver::RouteInfo;
+    use ntcs_addr::{MachineId, NetworkId, UAddGenerator};
     use ntcs_ipcs::NetKind;
     use ntcs_wire::ntcs_message;
 
@@ -3123,5 +3137,58 @@ mod tests {
             matches!(err, NtcsError::ConnectionClosed | NtcsError::Timeout),
             "{err}"
         );
+    }
+
+    /// Answers every lookup with whatever the test last scripted.
+    struct Scripted(Mutex<Result<ResolvedModule>>);
+
+    impl NameResolver for Scripted {
+        fn lookup(&self, _: UAdd) -> Result<ResolvedModule> {
+            self.0.lock().clone()
+        }
+        fn forwarding(&self, old: UAdd) -> Result<UAdd> {
+            Err(NtcsError::NoForwardingAddress(old.raw()))
+        }
+        fn route(&self, _: &[NetworkId], _: UAdd) -> Result<RouteInfo> {
+            Err(NtcsError::NoRoute { from: 0, to: 0 })
+        }
+    }
+
+    #[test]
+    fn expired_lease_is_served_only_when_the_resolver_is_unreachable() {
+        let world = World::new();
+        let net = world.add_network(NetKind::Mbx, "lab");
+        let m = world.add_machine(MachineType::Sun, "m", &[net]).unwrap();
+        let ttl = Duration::from_millis(5);
+        let n = Nucleus::bind(&world, NucleusConfig::new(m, "n").with_name_lease_ttl(ttl)).unwrap();
+        let target = ResolvedModule {
+            uadd: UAddGenerator::new(1).generate(),
+            machine_type: MachineType::Sun,
+            addrs: n.nd().phys_addrs(),
+        };
+        let script = Arc::new(Scripted(Mutex::new(Ok(target.clone()))));
+        n.set_resolver(script.clone());
+        assert_eq!(n.resolve(target.uadd).unwrap(), target);
+        std::thread::sleep(ttl * 2);
+        assert_eq!(
+            n.statics().probe(target.uadd, n.now_us()),
+            LeaseProbe::Stale(target.clone())
+        );
+
+        // The service cannot be asked: the expired lease still answers.
+        *script.0.lock() = Err(NtcsError::NameServerUnreachable);
+        let stale_before = n.metrics().snapshot().ns_cache_stale;
+        assert_eq!(n.resolve(target.uadd).unwrap(), target);
+        assert_eq!(n.metrics().snapshot().ns_cache_stale, stale_before + 1);
+
+        // An authoritative answer is never overridden by the expired lease.
+        for answer in [
+            NtcsError::AddressFault(target.uadd.raw()),
+            NtcsError::UnknownAddress(target.uadd.raw()),
+        ] {
+            *script.0.lock() = Err(answer.clone());
+            assert_eq!(n.resolve(target.uadd).unwrap_err(), answer);
+        }
+        assert_eq!(n.metrics().snapshot().ns_cache_stale, stale_before + 3);
     }
 }

@@ -43,9 +43,10 @@ pub mod retry;
 pub mod supervisor;
 pub mod trace;
 
-pub use config::{NameCacheSettings, NucleusConfig, SubstrateSettings};
+pub use config::{NucleusConfig, NAME_LEASE_TTL};
 pub use lcm::{
-    ControlIntercept, Delivery, GatewayHandler, Nucleus, Received, SendOpts, SendReport,
+    ControlIntercept, Delivery, GatewayHandler, Nucleus, Received, SendOpts, SendReport, BREAKER,
+    CIRCUIT_RETRY,
 };
 pub use metrics::{NucleusMetrics, NucleusMetricsSnapshot};
 pub use nd::{Lvc, NdLayer, SubstrateBinding};

@@ -76,8 +76,6 @@ counters! {
     ns_lookups,
     /// Route queries (IP layer).
     route_queries,
-    /// Frames relayed (gateway role).
-    relayed_frames,
     /// Messages known dropped (send accepted but circuit died before/while
     /// transferring, during reconfiguration).
     dropped_messages,

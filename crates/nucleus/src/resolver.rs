@@ -107,9 +107,11 @@ struct LeasedEntry {
     expires_us: Option<u64>,
 }
 
-/// The preloaded well-known address table (§3.4) plus a local cache,
-/// consulted before the real resolver. It never answers forwarding or
-/// routing queries beyond the preconfigured Name-Server route.
+/// The preloaded well-known address table (§3.4) plus the local cache of
+/// §3.3 ("this information is then locally cached for future
+/// reference"), consulted before the real resolver. It never answers
+/// forwarding or routing queries beyond the preconfigured Name-Server
+/// route.
 ///
 /// Cached (non-preloaded) entries carry a TTL lease (the shard
 /// extension): [`StaticResolver::probe`] refuses to report an entry as
@@ -145,14 +147,6 @@ impl StaticResolver {
         );
     }
 
-    /// Looks up a preloaded/cached entry, ignoring lease expiry (the
-    /// pre-shard behaviour; reconnect paths use this as the address of
-    /// last resort).
-    #[must_use]
-    pub fn get(&self, uadd: UAdd) -> Option<ResolvedModule> {
-        self.entries.read().get(&uadd).map(|e| e.module.clone())
-    }
-
     /// Lease-aware probe at `now_us`: a cached entry past its expiry is
     /// reported [`LeaseProbe::Stale`], never fresh.
     #[must_use]
@@ -164,18 +158,6 @@ impl StaticResolver {
             },
             None => LeaseProbe::Miss,
         }
-    }
-
-    /// Caches a resolved entry without a lease (the §3.3 local cache:
-    /// "this information is then locally cached for future reference").
-    pub fn cache(&self, module: ResolvedModule) {
-        self.entries.write().insert(
-            module.uadd,
-            LeasedEntry {
-                module,
-                expires_us: None,
-            },
-        );
     }
 
     /// Caches a resolved entry under a lease expiring at `expires_us`.
@@ -256,13 +238,20 @@ mod tests {
         }
     }
 
+    fn fresh(r: &StaticResolver, uadd: UAdd) -> ResolvedModule {
+        match r.probe(uadd, u64::MAX) {
+            LeaseProbe::Fresh(m) => m,
+            other => panic!("{uadd} not fresh: {other:?}"),
+        }
+    }
+
     #[test]
-    fn static_resolver_preload_and_get() {
+    fn static_resolver_preload_and_probe() {
         let r = StaticResolver::new();
         assert!(r.is_empty());
         let u = UAdd::NAME_SERVER;
         r.preload(u, vec![phys(0), phys(1)], MachineType::Vax);
-        let m = r.get(u).unwrap();
+        let m = fresh(&r, u);
         assert_eq!(m.addrs.len(), 2);
         assert_eq!(m.addr_on(NetworkId(1)), Some(&phys(1)));
         assert_eq!(m.addr_on(NetworkId(9)), None);
@@ -272,16 +261,16 @@ mod tests {
     #[test]
     fn cache_and_invalidate() {
         let r = StaticResolver::new();
-        let u = UAdd::from_raw(0x1000);
-        r.cache(ResolvedModule {
-            uadd: u,
+        let m = ResolvedModule {
+            uadd: UAdd::from_raw(0x1000),
             machine_type: MachineType::Sun,
             addrs: vec![phys(2)],
-        });
+        };
+        r.cache_leased(m.clone(), 1_000);
         assert_eq!(r.len(), 1);
-        assert!(r.get(u).is_some());
-        r.invalidate(u);
-        assert!(r.get(u).is_none());
+        assert_eq!(r.probe(m.uadd, 0), LeaseProbe::Fresh(m.clone()));
+        r.invalidate(m.uadd);
+        assert_eq!(r.probe(m.uadd, 0), LeaseProbe::Miss);
     }
 
     #[test]
@@ -295,18 +284,16 @@ mod tests {
             addrs: vec![phys(1)],
         };
         r.cache_leased(leased.clone(), 1_000);
-        assert_eq!(r.probe(wk, u64::MAX), LeaseProbe::Fresh(r.get(wk).unwrap()));
+        let preloaded = fresh(&r, wk);
         assert_eq!(r.probe(leased.uadd, 999), LeaseProbe::Fresh(leased.clone()));
         assert_eq!(
             r.probe(leased.uadd, 1_000),
             LeaseProbe::Stale(leased.clone())
         );
-        // Stale-if-error: the raw get still answers.
-        assert_eq!(r.get(leased.uadd), Some(leased.clone()));
         assert_eq!(r.probe(UAdd::from_raw(0x9999), 0), LeaseProbe::Miss);
         // A leased write never demotes a preload.
-        r.cache_leased(r.get(wk).unwrap(), 1);
-        assert_eq!(r.probe(wk, u64::MAX), LeaseProbe::Fresh(r.get(wk).unwrap()));
+        r.cache_leased(preloaded.clone(), 1);
+        assert_eq!(r.probe(wk, u64::MAX), LeaseProbe::Fresh(preloaded));
     }
 
     #[test]

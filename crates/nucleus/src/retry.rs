@@ -5,9 +5,10 @@
 //! seed only retried the ND-level *open*. [`RetryPolicy`] is the one
 //! knob every layer shares: the ND-Layer open, LCM circuit
 //! re-establishment, NSP naming queries, and gateway hop splicing all
-//! run their attempts through it, so retry behaviour is configured in
-//! one place ([`crate::NucleusConfig`]) and observable through one set
-//! of counters.
+//! run their attempts through it, under three constant policies
+//! ([`crate::CIRCUIT_RETRY`], the NSP layer's naming policy, and the
+//! LCM's reliable-send pacing), all observable through one set of
+//! counters.
 //!
 //! Backoff is exponential with a cap, plus *deterministic seeded
 //! jitter*: the jitter for attempt `n` is a pure function of

@@ -69,15 +69,6 @@ pub struct BreakerConfig {
     pub half_open_after: Duration,
 }
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            trip_after: 3,
-            half_open_after: Duration::from_millis(250),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum BreakerState {
     Closed { failures: u32 },

@@ -23,9 +23,9 @@ use ntcs::{
     dump_snapshot, ntcs_message, ComMod, FlowSettings, MachineId, MachineType, MetricsRegistry,
     NetKind, NetworkId, NtcsError, Result, Testbed, UAdd, World,
 };
-use ntcs_naming::cache::CacheProbe;
 use ntcs_naming::protocol::NS_INVALIDATE_TYPE;
 use ntcs_naming::ShardMap;
+use ntcs_nucleus::LeaseProbe;
 use parking_lot::Mutex;
 
 use crate::rng::SimRng;
@@ -1190,7 +1190,7 @@ fn dropped_invalidation_naming(rng: &mut SimRng) -> (Verdict, String) {
     // Seed-varied (but short) lease so the staleness window fits a cell.
     let ttl = Duration::from_millis(300 + rng.next_u64() % 300);
     testbed.set_config_hook(Some(Arc::new(move |c: ntcs::NucleusConfig| {
-        c.with_name_cache(ttl, Duration::from_millis(100))
+        c.with_name_lease_ttl(ttl)
     })));
     let server = testbed.module(ms[2], "cell-sink").expect("sink module");
     let client = testbed.module(ms[3], "cell-src").expect("src module");
@@ -1202,13 +1202,14 @@ fn dropped_invalidation_naming(rng: &mut SimRng) -> (Verdict, String) {
     // what a dropped NsInvalidate frame looks like from its side.
     client.nucleus().clear_control_intercept(NS_INVALIDATE_TYPE);
     let relocated = server.relocate_to(ms[1]).expect("relocate sink");
+    let statics = client.nucleus().statics();
     let still_cached = matches!(
-        client.nsp().cache().probe(dst, client.nucleus().now_us()),
-        CacheProbe::Hit(_) | CacheProbe::Stale(_)
+        statics.probe(dst, client.nucleus().now_us()),
+        LeaseProbe::Fresh(_) | LeaseProbe::Stale(_)
     );
 
-    // The staleness bound: once the lease TTL has elapsed, the cache must
-    // refuse to serve the (now wrong) entry.
+    // The staleness bound: once the lease TTL has elapsed, the lease must
+    // not be served as fresh (the next resolve revalidates it).
     let ttl_us = u64::try_from(ttl.as_micros()).unwrap_or(u64::MAX);
     loop {
         let now = client.nucleus().now_us();
@@ -1219,17 +1220,8 @@ fn dropped_invalidation_naming(rng: &mut SimRng) -> (Verdict, String) {
     }
     let now = client.nucleus().now_us();
     assert!(
-        !matches!(client.nsp().cache().probe(dst, now), CacheProbe::Hit(_)),
-        "cache served an entry past its lease TTL with the invalidation lost"
-    );
-    assert!(
-        client
-            .nsp()
-            .cache()
-            .serve(dst, now)
-            .expect("positive entries never error")
-            .is_none(),
-        "serve() handed out a lease older than its TTL"
+        !matches!(statics.probe(dst, now), LeaseProbe::Fresh(_)),
+        "lease served as fresh past its TTL with the invalidation lost"
     );
 
     // End to end: the next send re-resolves and lands on the relocated

@@ -60,7 +60,6 @@ fn main() -> ntcs::Result<()> {
         let mut config = NucleusConfig::new(lab.machines[1], "fragile");
         config.well_known = lab.testbed.ns_well_known();
         config.max_recursion_depth = 12;
-        config.open_retries = 0;
         config.ns_fault_patch = patched;
         let module =
             ComMod::bind_with_config(lab.testbed.world(), config, lab.testbed.ns_servers())?;

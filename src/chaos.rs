@@ -348,8 +348,8 @@ pub fn ns_replica_kill(seed: u64) {
     let client = testbed.module(m[3], "chaos-client").unwrap();
 
     // Noise phase: seed-derived background loss while both servers live.
-    // A single dropped frame stalls a naming exchange on its 5 s replica
-    // timeout, which legitimately exhausts the 3 s `ns_retry` budget — so
+    // A single dropped frame stalls a naming exchange on its 750 ms per-replica
+    // timeout, which legitimately exhausts the 3 s `NS_RETRY` budget — so
     // under loss a query must either answer correctly or fail with a
     // *typed* transient/deadline error, never anything else.
     testbed

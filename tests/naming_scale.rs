@@ -159,10 +159,6 @@ fn sharded_lookups_survive_relocation_churn_with_cache_metrics() {
         warm.ns_cache_misses >= N as u64,
         "cold resolves unaccounted: {warm:?}"
     );
-    assert!(
-        !client.nsp().cache().is_empty(),
-        "NSP-side cache never populated"
-    );
     // The registry renders the cache counters for operators.
     let rendered: Vec<&str> = warm.counters().iter().map(|(k, _)| *k).collect();
     for key in ["ns_cache_hits", "ns_cache_misses", "ns_invalidations"] {
@@ -171,7 +167,7 @@ fn sharded_lookups_survive_relocation_churn_with_cache_metrics() {
 
     // Leased lookups: repeated resolutions of a warm destination are served
     // by its lease (or revalidate an expired one) and never go cold; with
-    // both cache layers dropped, every resolution is a shard round trip.
+    // the lease dropped, every resolution is a shard round trip.
     const LEASED: u64 = 500;
     const COLD: u64 = 20;
     // A service the churn below leaves in place.
@@ -190,7 +186,6 @@ fn sharded_lookups_survive_relocation_churn_with_cache_metrics() {
     );
     for _ in 0..COLD {
         nucleus.statics().invalidate(dst);
-        client.nsp().cache().invalidate(dst);
         nucleus.resolve(dst).unwrap();
     }
     let cold = client.metrics();

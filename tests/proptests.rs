@@ -2,19 +2,33 @@
 //! wire codecs (shift/packed/image/header), naming structures, the name
 //! database, and route computation on random topologies.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use ntcs::{AttrQuery, AttrSet, MachineType, NetworkId, PhysAddr, UAdd};
 use ntcs_naming::cache::{shard_primary_server_id, shard_primary_uadd, shard_replica_uadd};
 use ntcs_naming::protocol::NsInvalidate;
-use ntcs_naming::{CacheProbe, NameCache, NameDb, ShardMap};
-use ntcs_nucleus::ResolvedModule;
+use ntcs_naming::{NameDb, ShardMap};
+use ntcs_nucleus::{LeaseProbe, ResolvedModule, StaticResolver};
 use ntcs_wire::bytes::Bytes;
 use ntcs_wire::pack::{pack_to_vec, unpack_from_slice, Blob};
 use ntcs_wire::{
     encode_payload, image, ConvMode, Frame, FrameHeader, FrameType, InboundPayload, Message,
     PackReader, PackWriter, ShiftReader, ShiftWriter,
 };
+
+/// A resolved module on network 0 at MBX path `path`.
+fn module_at(uadd: UAdd, path: &str) -> ResolvedModule {
+    ResolvedModule {
+        uadd,
+        machine_type: MachineType::Sun,
+        addrs: vec![PhysAddr::Mbx {
+            network: NetworkId(0),
+            path: path.into(),
+        }],
+    }
+}
 
 fn machine_type() -> impl Strategy<Value = MachineType> {
     prop_oneof![
@@ -634,66 +648,61 @@ proptest! {
             1..50,
         ),
     ) {
-        // Model-checked lease state machine: `model` is (uadd -> (negative,
-        // expires_us)); the cache must agree with it at every step, and in
-        // particular must never serve a positive entry at or past its
-        // expiry, nor a negative entry past its negative TTL.
-        let cache = NameCache::new();
-        let mut model: std::collections::HashMap<u64, (bool, u64)> =
-            std::collections::HashMap::new();
+        // Model-checked lease table: `model` is (uadd -> (expires_us, path)),
+        // `None` expiry for a preload. The resolver must agree with it at
+        // every step: a lease is never `Fresh` at or after its expiry, a
+        // preload is always `Fresh`, and a leased write never demotes a
+        // preload.
+        let table = StaticResolver::new();
+        let mut model: HashMap<u64, (Option<u64>, String)> = HashMap::new();
         let mut now: u64 = 0;
         for (op, slot, ttl_us, advance_us) in ops {
             let uadd = UAdd::from_raw(0x100 + slot);
             match op {
                 0 => {
-                    let module = ResolvedModule {
-                        uadd,
-                        machine_type: MachineType::Sun,
-                        addrs: vec![PhysAddr::Mbx {
-                            network: NetworkId(0),
-                            path: format!("/m/{slot}"),
-                        }],
+                    let path = format!("/m/{slot}/{ttl_us}");
+                    table.cache_leased(module_at(uadd, &path), now + ttl_us);
+                    let expiry = match model.get(&uadd.raw()) {
+                        Some((None, _)) => None,
+                        _ => Some(now + ttl_us),
                     };
-                    cache.insert(module, now, ttl_us);
-                    model.insert(uadd.raw(), (false, now + ttl_us));
+                    model.insert(uadd.raw(), (expiry, path));
                 }
                 1 => {
-                    cache.insert_negative(uadd, now, ttl_us);
-                    model.insert(uadd.raw(), (true, now + ttl_us));
+                    let path = format!("/wk/{slot}");
+                    table.preload(uadd, module_at(uadd, &path).addrs, MachineType::Sun);
+                    model.insert(uadd.raw(), (None, path));
                 }
                 2 => {
-                    let had = model.remove(&uadd.raw());
-                    prop_assert_eq!(cache.invalidate(uadd), had.is_some());
+                    table.invalidate(uadd);
+                    model.remove(&uadd.raw());
                 }
                 _ => now += advance_us,
             }
             // Check every slot against the model at the current instant.
             for slot in 0..8u64 {
                 let u = UAdd::from_raw(0x100 + slot);
-                let probe = cache.probe(u, now);
+                let probe = table.probe(u, now);
                 match model.get(&u.raw()) {
-                    Some((false, exp)) if now < *exp => {
-                        prop_assert!(matches!(probe, CacheProbe::Hit(_)));
-                        let served = cache.serve(u, now).unwrap();
-                        prop_assert_eq!(served.map(|m| m.uadd), Some(u));
+                    Some((None, path)) => {
+                        prop_assert_eq!(&probe, &LeaseProbe::Fresh(module_at(u, path)));
+                        prop_assert_eq!(table.probe(u, u64::MAX), probe);
                     }
-                    Some((true, exp)) if now < *exp => {
-                        prop_assert!(matches!(probe, CacheProbe::NegativeHit));
-                        prop_assert!(cache.serve(u, now).is_err());
+                    Some((Some(exp), path)) => {
+                        let m = module_at(u, path);
+                        let want = if now < *exp {
+                            LeaseProbe::Fresh(m.clone())
+                        } else {
+                            LeaseProbe::Stale(m.clone())
+                        };
+                        prop_assert_eq!(probe, want);
+                        prop_assert_eq!(table.probe(u, *exp), LeaseProbe::Stale(m.clone()));
+                        prop_assert_eq!(table.probe(u, exp - 1), LeaseProbe::Fresh(m));
                     }
-                    Some((false, _)) => {
-                        // Expired positive: stale, never a hit; serve()
-                        // must fall through to a real resolution.
-                        prop_assert!(matches!(probe, CacheProbe::Stale(_)));
-                        prop_assert!(cache.serve(u, now).unwrap().is_none());
-                    }
-                    Some((true, _)) | None => {
-                        // Expired negative or absent: a plain miss.
-                        prop_assert!(matches!(probe, CacheProbe::Miss));
-                        prop_assert!(cache.serve(u, now).unwrap().is_none());
-                    }
+                    None => prop_assert_eq!(probe, LeaseProbe::Miss),
                 }
             }
+            prop_assert_eq!(table.len(), model.len());
         }
     }
 

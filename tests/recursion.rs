@@ -89,7 +89,6 @@ fn fault_prone_module(lab: &SingleNet, patched: bool) -> ComMod {
     let mut config = NucleusConfig::new(lab.machines[1], "fragile");
     config.well_known = lab.testbed.ns_well_known();
     config.max_recursion_depth = 16;
-    config.open_retries = 0;
     config.ns_fault_patch = patched;
     ComMod::bind_with_config(lab.testbed.world(), config, lab.testbed.ns_servers()).unwrap()
 }
